@@ -93,10 +93,17 @@ def build_parser():
 
 
 def _resolve_cap(args):
+    """--cap, else FREIMAN_CAP, else None (the default cap); whichever is
+    given must be an integer >= 1."""
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("FREIMAN_CAP")
-    return int(env) if env else None
+        source, raw = "--cap", str(args.cap)
+    else:
+        source, raw = "FREIMAN_CAP", os.environ.get("FREIMAN_CAP", "")
+        if not raw:
+            return None
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ParseError(f"{source} must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _read_file(path):

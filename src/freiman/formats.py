@@ -14,6 +14,11 @@ from .ideals import MonomialIdeal
 from .lattice import PointSet
 
 
+def _is_int(x):
+    """A JSON integer; JSON booleans load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_monomial(text, line, col0):
     """One monomial `x1^2*x3` -> dict var->exp.  col0 is the offset of
     text within its line, for error positions."""
@@ -107,7 +112,7 @@ def _ideal_from_json(stripped):
     vectors = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or not all(
-            isinstance(x, int) and x >= 0 for x in row
+            _is_int(x) and x >= 0 for x in row
         ):
             raise ParseError(
                 f"exponent vector #{i + 1} must be a list of nonnegative integers"
@@ -164,11 +169,11 @@ def _graph_from_json(stripped):
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ParseError('expected an object {"n": ..., "edges": [...]}')
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError('"n" must be a positive integer')
     raw = data["edges"]
     if not isinstance(raw, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
+        isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)
         for e in raw
     ):
         raise ParseError('"edges" must be a list of [u, v] integer pairs')

@@ -9,6 +9,7 @@ their components, of which at most one may have a non-polynomial edge ring.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError, ResourceCapError, effective_cap
 from .ideals import MonomialIdeal, _fresh_ideal
@@ -16,7 +17,16 @@ from .ideals import MonomialIdeal, _fresh_ideal
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """A finite simple graph on vertices 1..n; edges are (u, v) with u < v."""
+    """A finite simple graph on vertices 1..n; edges are (u, v) with u < v.
+
+    Derived facts are computed on first use and kept on the instance:
+      adjacency              -- vertex -> set of neighbors
+      component_vertex_sets  -- sorted vertex tuples of the connected
+                                components, ordered by smallest member
+      four_cycle_union       -- frozenset of the edges lying on a 4-cycle
+    Caching is safe because the graph is immutable; callers must not
+    mutate the adjacency sets they are handed.
+    """
 
     n: int
     edges: frozenset
@@ -45,6 +55,18 @@ class SimpleGraph:
 
     def sorted_edges(self):
         return sorted(self.edges)
+
+    @cached_property
+    def adjacency(self):
+        return _adjacency(self)
+
+    @cached_property
+    def component_vertex_sets(self):
+        return tuple(_component_vertex_sets(self.adjacency))
+
+    @cached_property
+    def four_cycle_union(self):
+        return frozenset(_four_cycle_union_edges(self.adjacency))
 
 
 @dataclass(frozen=True)
@@ -92,17 +114,21 @@ def _component_vertex_sets(adj):
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)
-        comps.append(sorted(comp))
+        comps.append(tuple(sorted(comp)))
     return comps
+
+
+def _edged_component_vertex_sets(g: SimpleGraph):
+    """The components of g that carry at least one edge."""
+    return [vs for vs in g.component_vertex_sets if len(vs) > 1]
 
 
 def components(g: SimpleGraph) -> list:
     """Connected components as compact graphs (vertices relabeled 1..k in
     increasing order of their original labels), ordered by smallest
     original vertex."""
-    adj = _adjacency(g)
     out = []
-    for verts in _component_vertex_sets(adj):
+    for verts in g.component_vertex_sets:
         index = {v: i + 1 for i, v in enumerate(verts)}
         edges = {
             (index[u], index[v]) for u, v in g.edges if u in index and v in index
@@ -114,14 +140,13 @@ def components(g: SimpleGraph) -> list:
 def cyclomatic_number(g: SimpleGraph) -> int:
     """e - n + s: the number of independent cycles.  Isolated vertices
     shift n and s together, so they do not affect the value."""
-    adj = _adjacency(g)
-    return g.num_edges - g.n + len(_component_vertex_sets(adj))
+    return g.num_edges - g.n + len(g.component_vertex_sets)
 
 
-def is_bipartite(g: SimpleGraph):
-    """A bipartition (part_a, part_b) with the smallest vertex of every
-    component in part_a, or None if an odd cycle exists."""
-    adj = _adjacency(g)
+def _two_coloring(adj):
+    """A 0/1 coloring of the vertices of adj with the smallest vertex of
+    every component colored 0 and adjacent vertices colored differently,
+    or None if an odd cycle exists."""
     color = {}
     for start in sorted(adj):
         if start in color:
@@ -136,6 +161,15 @@ def is_bipartite(g: SimpleGraph):
                     queue.append(w)
                 elif color[w] == color[u]:
                     return None
+    return color
+
+
+def is_bipartite(g: SimpleGraph):
+    """A bipartition (part_a, part_b) with the smallest vertex of every
+    component in part_a, or None if an odd cycle exists."""
+    color = _two_coloring(g.adjacency)
+    if color is None:
+        return None
     part_a = frozenset(v for v, c in color.items() if c == 0)
     part_b = frozenset(v for v, c in color.items() if c == 1)
     return (part_a, part_b)
@@ -169,49 +203,25 @@ def _simple_cycles(adj, cap):
 def enumerate_simple_cycles(g: SimpleGraph, cap=None) -> list:
     """Every simple cycle exactly once up to rotation and reflection,
     canonicalized and sorted by (length, vertex sequence)."""
-    return _simple_cycles(_adjacency(g), effective_cap(cap))
+    return _simple_cycles(g.adjacency, effective_cap(cap))
 
 
-def _unique_cycle(adj, comp_verts):
-    """The unique cycle of a unicyclic component, found by peeling leaves."""
-    verts = set(comp_verts)
-    deg = {v: len(adj[v] & verts) for v in verts}
-    leaves = [v for v in verts if deg[v] <= 1]
-    while leaves:
-        v = leaves.pop()
-        verts.discard(v)
-        for w in adj[v]:
-            if w in verts:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    leaves.append(w)
-    # remaining vertices all have degree 2: walk around
-    start = min(verts)
-    cycle = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = min(w for w in adj[cur] if w in verts and w != prev)
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
-    return cycle
+def _has_polynomial_edge_ring(adj, verts):
+    """Whether the component on verts has at most one independent cycle,
+    and that cycle, if any, is odd.  A unicyclic graph is 2-colorable iff
+    its cycle is even."""
+    sub = _restrict(adj, verts)
+    cyclo = len(_edges_of(sub)) - len(verts) + 1
+    return cyclo == 0 or (cyclo == 1 and _two_coloring(sub) is None)
 
 
 def is_polynomial_edge_ring(g: SimpleGraph) -> bool:
     """True iff every component has at most one independent cycle and any
     such cycle is odd; equivalently, no primitive even walks exist."""
-    adj = _adjacency(g)
-    for verts in _component_vertex_sets(adj):
-        vs = set(verts)
-        edges_in = sum(len(adj[v] & vs) for v in verts) // 2
-        cyclo = edges_in - len(verts) + 1
-        if cyclo > 1:
-            return False
-        if cyclo == 1 and len(_unique_cycle(adj, verts)) % 2 == 0:
-            return False
-    return True
+    return all(
+        _has_polynomial_edge_ring(g.adjacency, verts)
+        for verts in g.component_vertex_sets
+    )
 
 
 def _four_cycle_union_edges(adj):
@@ -248,7 +258,7 @@ def _four_cycle_union_edges(adj):
 def four_cycle_union_subgraph(g: SimpleGraph) -> SimpleGraph:
     """The subgraph whose edges are the edges of all 4-cycles of g (empty
     when g has no 4-cycle), on the same vertex label set."""
-    return SimpleGraph(g.n, frozenset(_four_cycle_union_edges(_adjacency(g))))
+    return SimpleGraph(g.n, g.four_cycle_union)
 
 
 def _complete_bipartite_2s(h_edges):
@@ -260,21 +270,9 @@ def _complete_bipartite_2s(h_edges):
     for u, v in h_edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    # 2-color; any odd cycle disqualifies
-    color = {}
-    for start in sorted(adj):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
+    color = _two_coloring(adj)
+    if color is None:
+        return None
     part0 = sorted(v for v, c in color.items() if c == 0)
     part1 = sorted(v for v, c in color.items() if c == 1)
     if len(part0) > len(part1):
@@ -296,10 +294,9 @@ def has_long_primitive_even_walk(g: SimpleGraph, cap=None):
     there is an even simple cycle of length >= 6, or a pair of odd cycles
     sharing at most one vertex.
     """
-    adj = _adjacency(g)
-    if len(_component_vertex_sets(adj)) != 1:
+    if len(g.component_vertex_sets) != 1:
         raise PreconditionError("primitive-walk search requires a connected graph")
-    return _long_walk(adj, effective_cap(cap))
+    return _long_walk(g.adjacency, effective_cap(cap))
 
 
 def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
@@ -324,15 +321,14 @@ def _edges_of(adj):
     return {(u, v) for u in adj for v in adj[u] if u < v}
 
 
-def _classify_connected(adj, cap, bipartite_rule=True):
-    """Classifier for one connected component given by its adjacency."""
-    verts = sorted(adj)
-    edges = _edges_of(adj)
-    cyclo = len(edges) - len(verts) + 1
-    if cyclo <= 1:
-        if cyclo == 0 or len(_unique_cycle(adj, verts)) % 2 == 1:
-            return GraphVerdict(True, "no-primitive-walks")
-    h_edges = _four_cycle_union_edges(adj)
+def _classify_connected(g, verts, cap, bipartite_rule=True):
+    """Classifier for the connected component of g on the sorted vertex
+    tuple verts."""
+    if _has_polynomial_edge_ring(g.adjacency, verts):
+        return GraphVerdict(True, "no-primitive-walks")
+    # every 4-cycle lies inside one component
+    members = set(verts)
+    h_edges = {e for e in g.four_cycle_union if e[0] in members}
     if h_edges:
         shape = _complete_bipartite_2s(h_edges)
         if shape is None:
@@ -341,32 +337,15 @@ def _classify_connected(adj, cap, bipartite_rule=True):
                 "K2s-with-short-walks",
                 witness={"four_cycle_union": sorted(list(e) for e in h_edges)},
             )
-    if bipartite_rule and _bipartition_or_none(adj) is not None:
-        handled, verdict = _classify_bipartite_connected(adj, verts, edges, h_edges, cap)
+    adj = _restrict(g.adjacency, verts)
+    if bipartite_rule and _two_coloring(adj) is not None:
+        handled, verdict = _classify_bipartite_connected(adj, verts, h_edges, cap)
         if handled:
             return verdict
     walk = _long_walk(adj, cap)
     if walk is not None:
         return GraphVerdict(False, "witness-long-walk", witness=walk)
     return GraphVerdict(True, "K2s-with-short-walks")
-
-
-def _bipartition_or_none(adj):
-    color = {}
-    for start in sorted(adj):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return color
 
 
 def _long_walk(adj, cap):
@@ -390,21 +369,20 @@ def _long_walk(adj, cap):
     return None
 
 
-def _classify_bipartite_connected(adj, verts, edges, h_edges, cap):
-    """Structural rule for connected bipartite graphs: Freiman iff a tree,
-    or the 4-cycle union H is complete bipartite of type (2,s) and the
-    rest of the graph consists of induced trees, each meeting H in exactly
-    one vertex.  Returns (handled, verdict); handled=False defers to the
-    general walk search (only for witness construction on failure).
+def _classify_bipartite_connected(adj, verts, h_edges, cap):
+    """Structural rule for connected bipartite graphs that are not trees
+    (trees are decided earlier): Freiman iff the 4-cycle union H is
+    complete bipartite of type (2,s) and the rest of the graph consists
+    of induced trees, each meeting H in exactly one vertex.  Returns
+    (handled, verdict); handled=False defers to the general walk search
+    (only for witness construction on failure).
     """
-    if len(edges) == len(verts) - 1:
-        return True, GraphVerdict(True, "no-primitive-walks")
     if not h_edges:
         # bipartite, not a tree, but no 4-cycle: some even cycle is long
         return False, None
     h_verts = {v for e in h_edges for v in e}
     # edges inside V(H) must be exactly the H edges
-    for u, v in edges:
+    for u, v in _edges_of(adj):
         if u in h_verts and v in h_verts and (u, v) not in h_edges:
             return False, None
     outside = [v for v in verts if v not in h_verts]
@@ -438,17 +416,15 @@ def classify_freiman_graph(g: SimpleGraph, cap=None, _bipartite_rule=True) -> Gr
     bipartite components (used to cross-check the structural shortcut).
     """
     cap = effective_cap(cap)
-    adj = _adjacency(g)
-    comps = [vs for vs in _component_vertex_sets(adj) if len(vs) > 1]
+    comps = _edged_component_vertex_sets(g)
     if len(comps) <= 1:
         if not comps:
             return GraphVerdict(True, "no-primitive-walks")
-        return _classify_connected(_restrict(adj, comps[0]), cap, _bipartite_rule)
+        return _classify_connected(g, comps[0], cap, _bipartite_rule)
     verdicts = []
     nonpoly = []
     for vs in comps:
-        sub = _restrict(adj, vs)
-        v = _classify_connected(sub, cap, _bipartite_rule)
+        v = _classify_connected(g, vs, cap, _bipartite_rule)
         verdicts.append((vs, v))
         if v.reason != "no-primitive-walks":
             nonpoly.append(vs)

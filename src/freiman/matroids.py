@@ -15,7 +15,7 @@ from math import comb
 
 from .errors import PreconditionError, ResourceCapError, effective_cap
 from .fiber import h_vector, mu_series
-from .graphs import SimpleGraph, _adjacency, _component_vertex_sets
+from .graphs import SimpleGraph, _edged_component_vertex_sets
 from .ideals import MonomialIdeal, _fresh_ideal
 from .lattice import affine_dim
 from .linalg import integer_det
@@ -49,20 +49,13 @@ class MatroidVerdict:
     regularity: int | None = None
 
 
-def _edged_component_vertex_sets(g: SimpleGraph):
-    adj = _adjacency(g)
-    return [vs for vs in _component_vertex_sets(adj) if len(vs) > 1]
-
-
 def matrix_tree_count(g: SimpleGraph) -> int:
     """Number of spanning forests: the product over components of reduced
     Laplacian determinants."""
-    adj = _adjacency(g)
+    adj = g.adjacency
     total = 1
-    for verts in _component_vertex_sets(adj):
+    for verts in _edged_component_vertex_sets(g):
         k = len(verts)
-        if k == 1:
-            continue
         index = {v: i for i, v in enumerate(verts)}
         lap = [[0] * k for _ in range(k)]
         for v in verts:
@@ -90,12 +83,9 @@ def spanning_forests(g: SimpleGraph, cap=None) -> list:
     if expected > cap:
         raise ResourceCapError(f"{expected} spanning forests", cap)
     ground = g.sorted_edges()
-    adj = _adjacency(g)
     per_component = []
-    for verts in _component_vertex_sets(adj):
+    for verts in _edged_component_vertex_sets(g):
         k = len(verts)
-        if k == 1:
-            continue
         vs = set(verts)
         comp_edges = [i for i, (u, v) in enumerate(ground) if u in vs]
         size = k - 1
@@ -166,12 +156,15 @@ def matroidal_ideal(g: SimpleGraph, cap=None) -> MonomialIdeal:
     return _fresh_ideal(m, pts, ((1,) * m, degree))
 
 
-def cut_vertices(g: SimpleGraph) -> set:
-    """Articulation points, via iterative depth-first lowpoints."""
-    adj = _adjacency(g)
+def _lowpoint_dfs(g: SimpleGraph):
+    """(cut vertices, number of blocks), via iterative depth-first
+    lowpoints: a tree edge (p, u) closes a block when low[u] >= disc[p],
+    and p is then a cut vertex unless it is a root with one child."""
+    adj = g.adjacency
     disc = {}
     low = {}
     points = set()
+    blocks = 0
     timer = 0
     for start in sorted(adj):
         if start in disc:
@@ -201,42 +194,27 @@ def cut_vertices(g: SimpleGraph) -> set:
                 if stack:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[u])
-                    if p != start and low[u] >= disc[p]:
-                        points.add(p)
+                    if low[u] >= disc[p]:
+                        blocks += 1
+                        if p != start:
+                            points.add(p)
         if root_children >= 2:
             points.add(start)
-    return points
+    return points, blocks
+
+
+def cut_vertices(g: SimpleGraph) -> set:
+    """Articulation points, via iterative depth-first lowpoints."""
+    return _lowpoint_dfs(g)[0]
 
 
 def _cut_multiplicity(g: SimpleGraph) -> int:
     """Cut vertices counted with multiplicity: each contributes one less
-    than the number of pieces its removal splits its component into.
-    Equals (number of blocks) - (number of edge-bearing components)."""
-    adj = _adjacency(g)
-    total = 0
-    for verts in _component_vertex_sets(adj):
-        if len(verts) == 1:
-            continue
-        vs = set(verts)
-        for v in verts:
-            rest = vs - {v}
-            seen = set()
-            pieces = 0
-            for w in sorted(rest):
-                if w in seen:
-                    continue
-                pieces += 1
-                stack = [w]
-                seen.add(w)
-                while stack:
-                    u = stack.pop()
-                    for t in adj[u]:
-                        if t in rest and t not in seen:
-                            seen.add(t)
-                            stack.append(t)
-            if pieces > 1:
-                total += pieces - 1
-    return total
+    than the number of pieces its removal splits its component into,
+    which is one less than the number of blocks containing it.  Summed
+    over the block-cut tree of each component this is (number of blocks)
+    - (number of edge-bearing components)."""
+    return _lowpoint_dfs(g)[1] - len(_edged_component_vertex_sets(g))
 
 
 def matroid_spread_formula(g: SimpleGraph) -> int:
@@ -260,9 +238,7 @@ def matroid_spread_formula(g: SimpleGraph) -> int:
 
 def is_two_connected(g: SimpleGraph) -> bool:
     """Connected with no cut vertex (and at least one edge)."""
-    adj = _adjacency(g)
-    comps = _component_vertex_sets(adj)
-    return len(comps) == 1 and bool(g.edges) and not cut_vertices(g)
+    return len(g.component_vertex_sets) == 1 and bool(g.edges) and not cut_vertices(g)
 
 
 def classify_freiman_matroid(g: SimpleGraph, cap=None) -> MatroidVerdict:
@@ -270,8 +246,7 @@ def classify_freiman_matroid(g: SimpleGraph, cap=None) -> MatroidVerdict:
     cycle (e - n + s <= 1), iff its base ring is a polynomial ring.  The
     verdict carries the numeric spread cross-check; an edgeless graph is
     trivially Freiman with zeroed spread fields."""
-    adj = _adjacency(g)
-    s_all = len(_component_vertex_sets(adj))
+    s_all = len(g.component_vertex_sets)
     bound = g.num_edges - g.n + s_all
     if not g.edges:
         return MatroidVerdict(True, bound, 0, 0)

@@ -13,14 +13,14 @@ from itertools import combinations, permutations
 from math import comb
 from multiprocessing import get_context
 
-from .errors import ResourceCapError
+from .errors import PreconditionError, ResourceCapError
 from .fiber import h_vector, is_freiman, mu_from_h, mu_series
 from .formats import graph_to_dict
 from .graphs import (
     SimpleGraph,
-    _adjacency,
-    _component_vertex_sets,
-    _four_cycle_union_edges,
+    _edged_component_vertex_sets,
+    _restrict,
+    _two_coloring,
     classify_freiman_graph,
     edge_ideal,
     is_polynomial_edge_ring,
@@ -96,35 +96,8 @@ class _Tally:
                 self.counterexamples.append((name, gdict))
 
 
-def _bipartite_component_count(adj):
-    """(number of components, number of bipartite components); isolated
-    vertices are bipartite components."""
-    total = 0
-    bipartite = 0
-    color = {}
-    for start in sorted(adj):
-        if start in color:
-            continue
-        total += 1
-        color[start] = 0
-        queue = [start]
-        two_colorable = True
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    two_colorable = False
-        if two_colorable:
-            bipartite += 1
-    return total, bipartite
-
-
 def _check_graph_instance(g, tally, cap, deep):
     """All graph-side rows on one graph with at least one edge."""
-    adj = _adjacency(g)
     verdict = classify_freiman_graph(g, cap=cap)
     profile = is_freiman(edge_ideal(g), cap=cap)
 
@@ -133,10 +106,14 @@ def _check_graph_instance(g, tally, cap, deep):
     tally.record(
         "spread-upper-bound", profile.ell <= min(profile.mu_series[1], g.n), g
     )
-    ncomp, nbip = _bipartite_component_count(adj)
+    # isolated vertices count as bipartite components
+    comps = g.component_vertex_sets
+    nbip = sum(
+        1 for vs in comps if _two_coloring(_restrict(g.adjacency, vs)) is not None
+    )
     tally.record("edge-ring-spread-identity", profile.ell == g.n - nbip, g)
 
-    if nbip == ncomp:  # every component bipartite: the structural rule applies
+    if nbip == len(comps):  # every component bipartite: the structural rule applies
         try:
             general = classify_freiman_graph(g, cap=cap, _bipartite_rule=False)
             tally.record(
@@ -146,7 +123,7 @@ def _check_graph_instance(g, tally, cap, deep):
             tally.skip("bipartite-rule-vs-general")
 
     m = g.num_edges
-    has_c4 = bool(_four_cycle_union_edges(adj))
+    has_c4 = bool(g.four_cycle_union)
     tally.record(
         "four-cycle-doubling-deficit",
         has_c4 == (profile.mu_series[2] < comb(m + 1, 2)),
@@ -234,9 +211,7 @@ def _check_matroid_instance(g, tally, cap, regularity_max_edges):
                 ok = 3 <= reg <= e - 1
             else:
                 c = len(cut_vertices(g))
-                s = len([
-                    vs for vs in _component_vertex_sets(_adjacency(g)) if len(vs) > 1
-                ])
+                s = len(_edged_component_vertex_sets(g))
                 ok = 3 <= reg <= e - c - s
             tally.record("matroid-regularity-bounds", ok, g)
         except ResourceCapError:
@@ -363,6 +338,8 @@ def run_verify(
         jobs = max(1, min(4, os.cpu_count() or 1))
     if mode not in ("exhaustive", "random"):
         raise ValueError("mode must be 'exhaustive' or 'random'")
+    if mode == "random" and max_vertices < 2:
+        raise PreconditionError("random mode needs --max-vertices of at least 2")
 
     chunk_args = []
     if mode == "exhaustive":

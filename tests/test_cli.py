@@ -113,6 +113,33 @@ def test_cap_env_variable(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_invalid_cap_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "k4.json", K4_JSON)
+    for value in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("FREIMAN_CAP", value)
+        code, out, err = run_cli(["graph", "classify", path], capsys)
+        assert code == 1, value
+        assert out == ""
+        assert err.startswith("error: FREIMAN_CAP") and err.count("\n") == 1
+    monkeypatch.delenv("FREIMAN_CAP")
+    for value in ("0", "-5"):
+        code, out, err = run_cli(["graph", "classify", path, "--cap", value], capsys)
+        assert code == 1, value
+        assert out == ""
+        assert err.startswith("error: --cap") and err.count("\n") == 1
+
+
+def test_verify_random_needs_two_vertices(capsys):
+    code, out, err = run_cli(
+        ["verify", "--mode", "random", "--max-vertices", "1", "--count", "3",
+         "--jobs", "1"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "max-vertices" in err
+
+
 def test_no_partial_output_on_error(tmp_path, capsys):
     path = write(tmp_path, "k4.json", K4_JSON)
     code, out, _ = run_cli(["graph", "classify", path, "--cap", "5"], capsys)

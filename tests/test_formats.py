@@ -119,3 +119,16 @@ def test_dump_json_is_stable():
     payload = {"b": 1, "a": [1, 2]}
     assert dump_json(payload) == dump_json(payload)
     assert dump_json(payload).endswith("\n")
+
+
+def test_json_booleans_are_not_integers():
+    for text in ("[[true, false], [false, true]]", "[[1, 0], [0, true]]"):
+        with pytest.raises(ParseError):
+            parse_ideal(text)
+    for text in (
+        '{"n": true, "edges": []}',
+        '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": 3, "edges": [[1, 2], [2, false]]}',
+    ):
+        with pytest.raises(ParseError):
+            parse_graph(text)

@@ -1,0 +1,81 @@
+"""Differential tests of the graph facts SimpleGraph derives (components,
+2-coloring, cut vertices and blocks, the 4-cycle union) against networkx
+and a brute-force 4-cycle scan, on every labeled graph with at most 5
+vertices and on seeded random graphs with at most 8 vertices."""
+
+import random
+from itertools import combinations, permutations
+
+import pytest
+
+from freiman import SimpleGraph, is_bipartite
+from freiman.graphs import _edged_component_vertex_sets
+from freiman.matroids import _cut_multiplicity, cut_vertices
+
+nx = pytest.importorskip("networkx")
+
+
+def _all_graphs(max_n):
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            yield SimpleGraph(
+                n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+            )
+
+
+def _random_graphs(count, max_n, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.random()
+        edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
+        yield SimpleGraph(n, frozenset(edges))
+
+
+GRAPHS = list(_all_graphs(5)) + list(_random_graphs(200, 8, seed=20))
+
+
+def _to_nx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(1, g.n + 1))
+    G.add_edges_from(g.edges)
+    return G
+
+
+def _brute_four_cycle_union(g):
+    """Edges of every 4-cycle, found by trying all ordered vertex 4-tuples."""
+    h = set()
+    for quad in permutations(range(1, g.n + 1), 4):
+        ring = [(min(a, b), max(a, b)) for a, b in zip(quad, quad[1:] + quad[:1])]
+        if all(e in g.edges for e in ring):
+            h.update(ring)
+    return h
+
+
+def test_graph_facts_match_networkx():
+    # 1 + 2 + 8 + 64 + 1024 labeled graphs on 1..5 vertices, plus the random ones
+    assert len(GRAPHS) == 1099 + 200
+    for g in GRAPHS:
+        G = _to_nx(g)
+        where = (g.n, g.sorted_edges())
+        assert list(g.component_vertex_sets) == sorted(
+            tuple(sorted(c)) for c in nx.connected_components(G)
+        ), where
+        assert (is_bipartite(g) is not None) == nx.is_bipartite(G), where
+        assert cut_vertices(g) == set(nx.articulation_points(G)), where
+        blocks = len(list(nx.biconnected_components(G)))
+        edged = len(_edged_component_vertex_sets(g))
+        assert _cut_multiplicity(g) == blocks - edged, where
+        assert g.four_cycle_union == _brute_four_cycle_union(g), where
+
+
+def test_bipartition_is_a_proper_two_coloring():
+    for g in GRAPHS:
+        parts = is_bipartite(g)
+        if parts is None:
+            continue
+        part_a, part_b = parts
+        assert part_a | part_b == set(range(1, g.n + 1))
+        assert all((u in part_a) != (v in part_a) for u, v in g.edges)
+        assert all(vs[0] in part_a for vs in g.component_vertex_sets)

@@ -1,5 +1,8 @@
 """The cross-validation harness itself."""
 
+import pytest
+
+from freiman.errors import PreconditionError
 from freiman.verify import (
     ALL_ROWS,
     _is_canonical_mask,
@@ -68,3 +71,8 @@ def test_canonical_mask_is_unique_per_class():
     # all graphs (connected or not) with >= 1 edge on exactly 4 labeled
     # vertices: 11 isomorphism classes minus the empty one
     assert len(canonical) == 10
+
+
+def test_random_mode_needs_two_vertices():
+    with pytest.raises(PreconditionError):
+        run_verify(mode="random", max_vertices=1, count=3, jobs=1, no_timing=True)
