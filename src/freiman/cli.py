@@ -136,6 +136,8 @@ def _dispatch(args):
             g, with_hvector=args.hvector, cap=cap, no_timing=args.no_timing
         )
     else:
+        if not Path(args.dump_dir).is_dir():
+            raise ParseError(f"--dump-dir {args.dump_dir} is not a directory")
         report = run_verify(
             mode=args.mode,
             max_vertices=args.max_vertices,

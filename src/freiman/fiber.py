@@ -10,9 +10,8 @@ are exact integers.
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ResourceCapError, effective_cap
 from .ideals import MonomialIdeal, with_witness
-from .lattice import affine_dim, generalized_lower_bound
+from .lattice import _dilations, affine_dim, generalized_lower_bound
 
 
 @dataclass(frozen=True)
@@ -42,35 +41,8 @@ def mu_series(ideal: MonomialIdeal, max_power: int, cap=None) -> list:
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
-    ideal = with_witness(ideal)
-    cap = effective_cap(cap)
-    gens = sorted(ideal.generators.points)
-    series = [1, len(gens)]
-    if max_power == 1:
-        return series
-    # doubling is symmetric, so only unordered pairs are formed
-    out = set()
-    add = out.add
-    for i, a in enumerate(gens):
-        for b in gens[i:]:
-            add(tuple(map(int.__add__, a, b)))
-        if len(out) > cap:
-            raise ResourceCapError(f"sumset at power 2 exceeds {cap} points", cap)
-    series.append(len(out))
-    cur = out
-    for k in range(3, max_power + 1):
-        out = set()
-        add = out.add
-        for a in cur:
-            for b in gens:
-                add(tuple(map(int.__add__, a, b)))
-            if len(out) > cap:
-                raise ResourceCapError(
-                    f"sumset at power {k} exceeds {cap} points", cap
-                )
-        series.append(len(out))
-        cur = out
-    return series
+    gens = with_witness(ideal).generators
+    return [1, len(gens)] + [len(out) for _, out in _dilations(gens, max_power, cap)]
 
 
 def h_vector(mu: list, ell: int) -> list:
@@ -108,14 +80,19 @@ def is_freiman(ideal: MonomialIdeal, cap=None) -> FiberProfile:
     """
     ideal = with_witness(ideal)
     series = mu_series(ideal, 2, cap=cap)
-    ell = affine_dim(ideal.generators) + 1
+    return fiber_profile(series, affine_dim(ideal.generators) + 1)
+
+
+def fiber_profile(mu: list, ell: int) -> FiberProfile:
+    """The Freiman verdict read off the prefix (1, mu(I), mu(I^2)) of a
+    generator-count series at analytic spread ell."""
+    series = list(mu[:3])
     bound2 = generalized_lower_bound(series[1], ell, 2)
     h2 = series[2] - bound2
-    h = h_vector(series, ell)
     return FiberProfile(
         ell=ell,
         mu_series=tuple(series),
-        h_partial=tuple(h),
+        h_partial=tuple(h_vector(series, ell)),
         freiman=h2 == 0,
         bound2=bound2,
         h2=h2,

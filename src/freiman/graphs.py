@@ -24,6 +24,8 @@ class SimpleGraph:
       component_vertex_sets  -- sorted vertex tuples of the connected
                                 components, ordered by smallest member
       four_cycle_union       -- frozenset of the edges lying on a 4-cycle
+      cut_structure          -- (frozenset of cut vertices, number of
+                                blocks), from one lowpoint DFS
     Caching is safe because the graph is immutable; callers must not
     mutate the adjacency sets they are handed.
     """
@@ -67,6 +69,10 @@ class SimpleGraph:
     @cached_property
     def four_cycle_union(self):
         return frozenset(_four_cycle_union_edges(self.adjacency))
+
+    @cached_property
+    def cut_structure(self):
+        return _lowpoint_dfs(self.adjacency)
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,45 @@ def cyclomatic_number(g: SimpleGraph) -> int:
     """e - n + s: the number of independent cycles.  Isolated vertices
     shift n and s together, so they do not affect the value."""
     return g.num_edges - g.n + len(g.component_vertex_sets)
+
+
+def _lowpoint_dfs(adj):
+    """(cut vertices, number of blocks), via iterative depth-first
+    lowpoints: a tree edge (p, u) closes a block when low[u] >= disc[p],
+    and p is then a cut vertex unless it is a root with one child.  Both
+    are graph invariants, so the visiting order does not matter."""
+    disc = {}
+    low = {}
+    points = set()
+    blocks = 0
+    for start in adj:
+        if start in disc:
+            continue
+        disc[start] = low[start] = len(disc)
+        root_children = 0
+        stack = [(start, None, iter(adj[start]))]
+        while stack:
+            u, parent, it = stack[-1]
+            for w in it:
+                if w not in disc:
+                    root_children += u == start
+                    disc[w] = low[w] = len(disc)
+                    stack.append((w, u, iter(adj[w])))
+                    break
+                if w != parent:
+                    low[u] = min(low[u], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if low[u] >= disc[p]:
+                        blocks += 1
+                        if p != start:
+                            points.add(p)
+        if root_children >= 2:
+            points.add(start)
+    return frozenset(points), blocks
 
 
 def _two_coloring(adj):
@@ -304,9 +349,9 @@ def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
     in n variables, carrying the witness a = (1,...,1), d = 2."""
     if not g.edges:
         raise PreconditionError("an edgeless graph has no edge ideal")
+    zero = (0,) * g.n
     pts = frozenset(
-        tuple(1 if k in (u, v) else 0 for k in range(1, g.n + 1))
-        for u, v in g.edges
+        zero[: u - 1] + (1,) + zero[u : v - 1] + (1,) + zero[v:] for u, v in g.edges
     )
     # distinct squarefree degree-2 vectors are automatically an antichain
     return _fresh_ideal(g.n, pts, ((1,) * g.n, 2))

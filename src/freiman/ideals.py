@@ -93,19 +93,20 @@ def minimalize(monomials, ambient_dim=None) -> MonomialIdeal:
     return MonomialIdeal(ambient_dim, PointSet(ambient_dim, frozenset(minimal)))
 
 
-def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+def power(ideal: MonomialIdeal, k: int, cap=None) -> MonomialIdeal:
     """Minimal generators of ideal^k.
 
     With a quasi-equigeneration witness the k-fold sumset of the generator
     exponents is already minimal (equal weighted degree rules out strict
     divisibility), so no minimalization pass is needed.  Without one, the
-    k-fold products are minimalized.
+    k-fold products are minimalized.  Raises ResourceCapError if an
+    intermediate sumset would exceed `cap` points.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
     if k == 1:
         return ideal
-    pts = dilate(ideal.generators, k)
+    pts = dilate(ideal.generators, k, cap=cap)
     if ideal.witness is not None:
         a, d = ideal.witness
         return _fresh_ideal(ideal.ambient_dim, pts.points, (a, k * d))

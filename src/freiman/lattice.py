@@ -1,13 +1,19 @@
 """Exact lattice-point sets and sumset arithmetic.
 
-Points are tuples of nonnegative integers; deduplication is exact tuple
-equality, so collisions under addition are the signal everything else is
-built on.  No floating point is used anywhere.
+Points are tuples of nonnegative integers.  Sumsets are formed on packed
+points: each vector becomes one int with a fixed-width bit field per
+coordinate, and the width is the bit length of the largest coordinate any
+output can hold.  No field can then carry into its neighbour, so adding
+two ints adds the vectors and int equality is exactly vector equality;
+collisions under addition are the signal everything else is built on.
+No floating point is used anywhere.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 
+from .errors import ResourceCapError, effective_cap
 from .linalg import integer_rank
 
 ExponentVector = tuple  # tuple[int, ...], coordinates >= 0
@@ -60,33 +66,75 @@ def _fresh(ambient_dim, points):
     return ps
 
 
-def sumset(x: PointSet, y: PointSet) -> PointSet:
-    """The Minkowski sum {a + b : a in x, b in y}, duplicate-free."""
+def _shifts(dim, top):
+    """Bit offsets of coordinate fields wide enough for values up to top."""
+    width = max(top.bit_length(), 1)
+    return range(0, dim * width, width)
+
+
+def _top(x: PointSet) -> int:
+    return max(map(max, x.points), default=0)
+
+
+def _pack(points, shifts):
+    return [sum(map(int.__lshift__, p, shifts)) for p in points]
+
+
+def _unpack(codes, shifts):
+    mask = (1 << shifts.step) - 1
+    return frozenset(tuple(c >> s & mask for s in shifts) for c in codes)
+
+
+def _packed_sum(rows, cap, what):
+    """{a + b : (a, bs) in rows, b in bs} on packed points, with the cap
+    checked after each row."""
+    out = set()
+    for a, bs in rows:
+        out.update(map(a.__add__, bs))
+        if len(out) > cap:
+            raise ResourceCapError(f"{what} exceeds {cap} points", cap)
+    return out
+
+
+def _dilations(x: PointSet, k: int, cap):
+    """Yield (field offsets, packed kX) for the sumsets 2X, 3X, ..., kX.
+    Set sizes only grow, so ResourceCapError is raised at the first power
+    whose sumset exceeds the cap."""
+    cap = effective_cap(cap)
+    shifts = _shifts(x.ambient_dim, k * _top(x))
+    gens = _pack(x.points, shifts)
+    # doubling is symmetric, so only unordered pairs are formed
+    rows = ((a, gens[i:]) for i, a in enumerate(gens))
+    for j in range(2, k + 1):
+        out = _packed_sum(rows, cap, f"sumset at power {j}")
+        yield shifts, out
+        rows = zip(out, repeat(gens))
+
+
+def sumset(x: PointSet, y: PointSet, cap=None) -> PointSet:
+    """The Minkowski sum {a + b : a in x, b in y}, duplicate-free; raises
+    ResourceCapError if it would exceed `cap` points."""
     if x.ambient_dim != y.ambient_dim:
         raise ValueError(
             f"dimension mismatch: {x.ambient_dim} vs {y.ambient_dim}"
         )
-    xs, ys = x.points, y.points
-    if len(xs) > len(ys):
-        xs, ys = ys, xs
-    out = set()
-    add = out.add
-    for a in xs:
-        for b in ys:
-            add(tuple(map(int.__add__, a, b)))
-    return _fresh(x.ambient_dim, frozenset(out))
+    shifts = _shifts(x.ambient_dim, _top(x) + _top(y))
+    xs, ys = sorted((_pack(x.points, shifts), _pack(y.points, shifts)), key=len)
+    out = _packed_sum(zip(xs, repeat(ys)), effective_cap(cap), "sumset")
+    return _fresh(x.ambient_dim, _unpack(out, shifts))
 
 
-def dilate(x: PointSet, k: int) -> PointSet:
-    """The k-fold sumset kX = X + ... + X.  Accumulates incrementally,
-    since the intermediate sets are themselves meaningful (they count
-    generators of ideal powers)."""
+def dilate(x: PointSet, k: int, cap=None) -> PointSet:
+    """The k-fold sumset kX = X + ... + X, accumulated incrementally;
+    raises ResourceCapError if an intermediate sumset would exceed `cap`
+    points."""
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
-    cur = x
-    for _ in range(k - 1):
-        cur = sumset(cur, x)
-    return cur
+    if k == 1:
+        return x
+    for shifts, out in _dilations(x, k, cap):
+        pass
+    return _fresh(x.ambient_dim, _unpack(out, shifts))
 
 
 def affine_dim(x: PointSet) -> int:

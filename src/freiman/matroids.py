@@ -149,63 +149,18 @@ def matroidal_ideal(g: SimpleGraph, cap=None) -> MonomialIdeal:
         )
     pts = set()
     for f in forests:
-        chosen = set(f)
-        pts.add(tuple(1 if i in chosen else 0 for i in range(m)))
+        vec = [0] * m
+        for i in f:
+            vec[i] = 1
+        pts.add(tuple(vec))
     pts = frozenset(pts)
     # equal-cardinality 0/1 vectors are automatically an antichain
     return _fresh_ideal(m, pts, ((1,) * m, degree))
 
 
-def _lowpoint_dfs(g: SimpleGraph):
-    """(cut vertices, number of blocks), via iterative depth-first
-    lowpoints: a tree edge (p, u) closes a block when low[u] >= disc[p],
-    and p is then a cut vertex unless it is a root with one child."""
-    adj = g.adjacency
-    disc = {}
-    low = {}
-    points = set()
-    blocks = 0
-    timer = 0
-    for start in sorted(adj):
-        if start in disc:
-            continue
-        root_children = 0
-        stack = [(start, None, iter(sorted(adj[start])))]
-        disc[start] = low[start] = timer
-        timer += 1
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w in disc:
-                    low[u] = min(low[u], disc[w])
-                else:
-                    if u == start:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, u, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] >= disc[p]:
-                        blocks += 1
-                        if p != start:
-                            points.add(p)
-        if root_children >= 2:
-            points.add(start)
-    return points, blocks
-
-
-def cut_vertices(g: SimpleGraph) -> set:
+def cut_vertices(g: SimpleGraph) -> frozenset:
     """Articulation points, via iterative depth-first lowpoints."""
-    return _lowpoint_dfs(g)[0]
+    return g.cut_structure[0]
 
 
 def _cut_multiplicity(g: SimpleGraph) -> int:
@@ -214,7 +169,7 @@ def _cut_multiplicity(g: SimpleGraph) -> int:
     which is one less than the number of blocks containing it.  Summed
     over the block-cut tree of each component this is (number of blocks)
     - (number of edge-bearing components)."""
-    return _lowpoint_dfs(g)[1] - len(_edged_component_vertex_sets(g))
+    return g.cut_structure[1] - len(_edged_component_vertex_sets(g))
 
 
 def matroid_spread_formula(g: SimpleGraph) -> int:

@@ -9,7 +9,7 @@ rendering is for humans only.
 import time
 from dataclasses import asdict
 
-from .fiber import check_growth_identities, is_freiman
+from .fiber import check_growth_identities, fiber_profile, is_freiman
 from .formats import graph_to_dict, monomial_to_string
 from .graphs import (
     SimpleGraph,
@@ -51,8 +51,8 @@ def ideal_report(ideal: MonomialIdeal, max_power: int, cap=None, no_timing=False
     started = time.perf_counter()
     ideal = with_witness(ideal)
     a, d = ideal.witness
-    profile = is_freiman(ideal, cap=cap)
     growth = check_growth_identities(ideal, max_power, cap=cap)
+    profile = fiber_profile(growth.mu, growth.ell)
     report = {
         "command": "ideal-analyze",
         "input": {

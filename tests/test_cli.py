@@ -194,6 +194,21 @@ def test_analysis_reports_are_byte_identical(tmp_path, capsys):
         assert out1 == out2, args
 
 
+def test_missing_dump_dir_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(**_):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("freiman.cli.run_verify", no_sweep)
+    not_a_dir = write(tmp_path, "file.txt", "")
+    for dump_dir in (str(tmp_path / "missing"), not_a_dir):
+        code, out, err = run_cli(
+            ["verify", "--max-vertices", "3", "--dump-dir", dump_dir], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --dump-dir")
+
+
 def test_installed_entry_point(tmp_path):
     path = write(tmp_path, "c4.json", C4_JSON)
     proc = subprocess.run(

@@ -35,6 +35,14 @@ for name in GRAPHS:
     CASES[f"matroid-{stem}"] = ["matroid", "classify", name, "--hvector"]
 for name in IDEALS:
     CASES[f"ideal-{Path(name).stem}"] = ["ideal", "analyze", name, "--max-power", "4"]
+# the 36-generator matroidal ideal up to power 9
+CASES["matroid-c4_bowtie_isolated"] = [
+    "matroid", "classify", "c4_bowtie_isolated.json", "--hvector",
+]
+# exponents up to 140, so the fourth power needs more than 8 bits a coordinate
+CASES["ideal-wide_fields"] = [
+    "ideal", "analyze", "wide_fields.json", "--max-power", "4",
+]
 CASES["verify-exhaustive-n5"] = ["verify", "--max-vertices", "5"]
 CASES["verify-random-c40-s3-n7"] = [
     "verify", "--mode", "random", "--count", "40", "--seed", "3", "--max-vertices", "7",

@@ -6,10 +6,15 @@ from hypothesis import strategies as st
 
 from freiman import (
     PointSet,
+    ResourceCapError,
     affine_dim,
     dilate,
+    edge_ideal,
     freiman_lower_bound,
     generalized_lower_bound,
+    minimalize,
+    mu_series,
+    power,
     sumset,
 )
 from helpers import (
@@ -18,6 +23,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     edge_vectors,
+    vadd,
 )
 
 C4 = PointSet.of(edge_vectors(cycle_graph(4)))
@@ -175,3 +181,72 @@ def test_affine_dim_permutation_invariant(x, rng):
         [tuple(p[i] for i in perm) for p in x.points], x.ambient_dim
     )
     assert affine_dim(permuted) == affine_dim(x)
+
+
+# Coordinates up to 2^20, with values at the field boundaries mixed in so
+# that sums collide and would carry if the packed fields were too narrow.
+wide_coordinates = st.one_of(
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([2**19, 2**20 - 1, 2**20]),
+    st.integers(min_value=0, max_value=2**20),
+)
+
+
+def _wide_sets_of_dim(dim):
+    return st.sets(
+        st.tuples(*[wide_coordinates] * dim), min_size=1, max_size=6
+    ).map(lambda pts: PointSet.of(pts, ambient_dim=dim))
+
+
+wide_dims = st.integers(min_value=1, max_value=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wide_dims.flatmap(lambda d: st.tuples(_wide_sets_of_dim(d), _wide_sets_of_dim(d)))
+)
+def test_packed_sumset_matches_brute_force(pair):
+    x, y = pair
+    assert sumset(x, y).points == {vadd(a, b) for a in x for b in y}
+    assert sumset(x, x).points == brute_ksum(x.points, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_dims.flatmap(_wide_sets_of_dim), st.integers(min_value=1, max_value=5))
+def test_packed_dilate_matches_brute_force(x, k):
+    assert dilate(x, k).points == brute_ksum(x.points, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_dims.flatmap(_wide_sets_of_dim), st.integers(min_value=1, max_value=5))
+def test_packed_mu_series_matches_brute_force(x, k):
+    # one more coordinate puts every point at the same positive total
+    # degree, so the points are the minimal generators of an equigenerated
+    # ideal
+    top = max(sum(p) for p in x) + 1
+    ideal = minimalize([p + (top - sum(p),) for p in x])
+    expected = [1] + [len(brute_ksum(x.points, j)) for j in range(1, k + 1)]
+    assert mu_series(ideal, k) == expected
+
+
+def test_kernel_cap_is_checked_at_every_power():
+    ideal = edge_ideal(complete_graph(4))
+    sizes = [len(brute_ksum(ideal.generators.points, k)) for k in range(1, 5)]
+    for cap in range(sizes[0], sizes[-1] + 1):
+        over = next((k for k in range(2, 5) if sizes[k - 1] > cap), None)
+        if over is None:
+            assert mu_series(ideal, 4, cap=cap) == [1] + sizes
+            continue
+        message = f"sumset at power {over} exceeds {cap} points"
+        with pytest.raises(ResourceCapError, match=message):
+            mu_series(ideal, 4, cap=cap)
+        with pytest.raises(ResourceCapError, match=message):
+            dilate(ideal.generators, 4, cap=cap)
+        with pytest.raises(ResourceCapError, match=message):
+            power(ideal, 4, cap=cap)
+
+
+def test_sumset_cap():
+    assert len(sumset(K4, K4, cap=19)) == 19
+    with pytest.raises(ResourceCapError, match="sumset exceeds 18 points"):
+        sumset(K4, K4, cap=18)
