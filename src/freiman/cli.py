@@ -1,9 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 parse error, 2 precondition violation (e.g. an
-ideal that is not quasi-equigenerated), 3 resource cap exceeded.  Output
-is assembled fully before printing, so fatal errors never leave partial
-reports behind.
+ideal that is not quasi-equigenerated), 3 resource cap exceeded, 4 a
+`verify` row failed (the report is still printed and the counterexamples
+still written), 5 an internal invariant was violated (an ArithmeticError,
+e.g. the forest enumeration disagreeing with the matrix-tree count, or an
+h-polynomial above its degree bound).  Output is assembled fully before
+printing, so fatal errors never leave partial reports behind.
 """
 
 import argparse
@@ -19,6 +22,8 @@ from .verify import run_verify
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_RESOURCE = 3
+EXIT_VERIFY_FAILED = 4
+EXIT_INTERNAL = 5
 
 
 def _common_flags(parser):
@@ -84,7 +89,7 @@ def build_parser():
     verify.add_argument("--up-to-iso", action="store_true",
                         help="skip non-canonical labelings in exhaustive mode")
     verify.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: up to 4)")
+                        help="worker processes (default: up to 4; at most the CPU count)")
     verify.add_argument("--dump-dir", default=".", metavar="DIR",
                         help="where counterexample files are written")
     _common_flags(verify)
@@ -104,6 +109,16 @@ def _resolve_cap(args):
     if not raw.isdecimal() or int(raw) < 1:
         raise ParseError(f"{source} must be an integer >= 1, got {raw!r}")
     return int(raw)
+
+
+def _resolve_jobs(jobs):
+    """--jobs: None keeps the default; otherwise an integer >= 1, clamped
+    to the CPU count."""
+    if jobs is None:
+        return None
+    if jobs < 1:
+        raise ParseError(f"--jobs must be an integer >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _read_file(path):
@@ -146,12 +161,12 @@ def _dispatch(args):
             seed=args.seed,
             cap=cap,
             up_to_iso=args.up_to_iso,
-            jobs=args.jobs,
+            jobs=_resolve_jobs(args.jobs),
             no_timing=args.no_timing,
         )
         _write_counterexamples(report, args.dump_dir)
     _emit(report, args.format)
-    return 0
+    return 0 if report.get("all_passed", True) else EXIT_VERIFY_FAILED
 
 
 def _write_counterexamples(report, dump_dir):
@@ -173,6 +188,9 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ArithmeticError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ iff its edge ring is a polynomial ring, or else the union H of its 4-cycles
 is complete bipartite with one part of size exactly 2 and the graph has no
 primitive even closed walk longer than 4.  Disconnected graphs reduce to
 their components, of which at most one may have a non-polynomial edge ring.
+
+Every graph algorithm here runs on int vertex masks: bit v of a mask is
+set iff vertex v belongs to the set.
 """
 
 from dataclasses import dataclass
@@ -20,14 +23,28 @@ class SimpleGraph:
     """A finite simple graph on vertices 1..n; edges are (u, v) with u < v.
 
     Derived facts are computed on first use and kept on the instance:
-      adjacency              -- vertex -> set of neighbors
-      component_vertex_sets  -- sorted vertex tuples of the connected
-                                components, ordered by smallest member
-      four_cycle_union       -- frozenset of the edges lying on a 4-cycle
+      adjacency              -- tuple of n + 1 int neighbour masks: bit w
+                                of adjacency[v] is set iff vw is an edge
+                                (adjacency[0] is 0)
+      component_colorings    -- one (mask, sides) pair per connected
+                                component, ordered by smallest member:
+                                mask holds its vertices, and sides is the
+                                2-coloring (even, odd), the unions of the
+                                even and the odd BFS layers from the
+                                smallest member, or None if the component
+                                has an odd cycle
+      component_vertex_sets  -- the same components as sorted vertex tuples
+      four_cycle_adjacency   -- neighbour masks, as in adjacency, of the
+                                union H of all 4-cycles
+      four_cycle_union       -- frozenset of the edges of H
       cut_structure          -- (frozenset of cut vertices, number of
                                 blocks), from one lowpoint DFS
-    Caching is safe because the graph is immutable; callers must not
-    mutate the adjacency sets they are handed.
+      forest_count           -- number of spanning forests (matrix-tree)
+      _forests               -- the spanning forests themselves; read them
+                                through matroids.spanning_forests, which
+                                applies the cap first
+    Caching is safe because the graph is immutable and every fact is
+    immutable too.
     """
 
     n: int
@@ -63,16 +80,36 @@ class SimpleGraph:
         return _adjacency(self)
 
     @cached_property
+    def component_colorings(self):
+        return _component_layers(self.adjacency, (1 << self.n + 1) - 2)
+
+    @cached_property
     def component_vertex_sets(self):
-        return tuple(_component_vertex_sets(self.adjacency))
+        return tuple(_vertices(mask) for mask, _ in self.component_colorings)
+
+    @cached_property
+    def four_cycle_adjacency(self):
+        return _four_cycle_union_edges(self.adjacency)
 
     @cached_property
     def four_cycle_union(self):
-        return frozenset(_four_cycle_union_edges(self.adjacency))
+        return frozenset(_mask_edges(self.four_cycle_adjacency))
 
     @cached_property
     def cut_structure(self):
         return _lowpoint_dfs(self.adjacency)
+
+    @cached_property
+    def forest_count(self):
+        from . import matroids
+
+        return matroids.matrix_tree_count(self)
+
+    @cached_property
+    def _forests(self):
+        from . import matroids
+
+        return matroids._enumerate_forests(self)
 
 
 @dataclass(frozen=True)
@@ -95,33 +132,68 @@ class GraphVerdict:
 
 
 def _adjacency(g: SimpleGraph):
-    adj = {v: set() for v in range(1, g.n + 1)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+    return _edge_masks(g.n + 1, g.edges)
 
 
-def _component_vertex_sets(adj):
-    """Vertex sets of connected components, each sorted, ordered by
-    smallest member."""
-    seen = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+def _edge_masks(size, edges):
+    """Neighbour masks of the vertices 0..size-1 for the edge pairs edges."""
+    adj = [0] * size
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def _mask_edges(adj):
+    """The edges (u, w), u < w, of the neighbour masks adj, sorted."""
+    n = len(adj)
+    return [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1]
+
+
+def _restrict(adj, mask):
+    """adj with every vertex outside the vertex mask mask made isolated;
+    on a union of components this is the induced subgraph."""
+    return tuple(nbrs if mask >> v & 1 else 0 for v, nbrs in enumerate(adj))
+
+
+def _vertices(mask):
+    """The vertices of mask in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _component_layers(adj, within):
+    """(mask, sides) for each connected component of the subgraph induced
+    on the vertex mask within, ordered by smallest member.  A layered BFS
+    from that member puts the even layers in sides[0] and the odd ones in
+    sides[1]; an edge inside one layer closes an odd cycle, and then sides
+    is None."""
+    out = []
+    while within:
+        frontier = within & -within
+        sides = [frontier, 0]
+        seen = frontier
+        odd_cycle = False
+        parity = 0
+        while frontier:
+            reach = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                reach |= adj[low.bit_length() - 1]
+                rest ^= low
+            odd_cycle = odd_cycle or bool(reach & frontier)
+            frontier = reach & within & ~seen
+            seen |= frontier
+            parity ^= 1
+            sides[parity] |= frontier
+        within &= ~seen
+        out.append((seen, None if odd_cycle else tuple(sides)))
+    return tuple(out)
 
 
 def _edged_component_vertex_sets(g: SimpleGraph):
@@ -154,23 +226,30 @@ def _lowpoint_dfs(adj):
     lowpoints: a tree edge (p, u) closes a block when low[u] >= disc[p],
     and p is then a cut vertex unless it is a root with one child.  Both
     are graph invariants, so the visiting order does not matter."""
-    disc = {}
-    low = {}
+    disc = [0] * len(adj)  # 0 until visited; visit numbers start at 1
+    low = [0] * len(adj)
     points = set()
-    blocks = 0
-    for start in adj:
-        if start in disc:
+    blocks = t = 0
+    for start in range(1, len(adj)):
+        if disc[start]:
             continue
-        disc[start] = low[start] = len(disc)
+        t += 1
+        disc[start] = low[start] = t
         root_children = 0
-        stack = [(start, None, iter(adj[start]))]
+        stack = [[start, 0, adj[start]]]  # vertex, parent, unscanned neighbours
         while stack:
-            u, parent, it = stack[-1]
-            for w in it:
-                if w not in disc:
+            top = stack[-1]
+            u, parent, rest = top
+            while rest:
+                low_bit = rest & -rest
+                rest ^= low_bit
+                w = low_bit.bit_length() - 1
+                if not disc[w]:
+                    top[2] = rest
                     root_children += u == start
-                    disc[w] = low[w] = len(disc)
-                    stack.append((w, u, iter(adj[w])))
+                    t += 1
+                    disc[w] = low[w] = t
+                    stack.append([w, u, adj[w]])
                     break
                 if w != parent:
                     low[u] = min(low[u], disc[w])
@@ -188,36 +267,16 @@ def _lowpoint_dfs(adj):
     return frozenset(points), blocks
 
 
-def _two_coloring(adj):
-    """A 0/1 coloring of the vertices of adj with the smallest vertex of
-    every component colored 0 and adjacent vertices colored differently,
-    or None if an odd cycle exists."""
-    color = {}
-    for start in sorted(adj):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return color
-
-
 def is_bipartite(g: SimpleGraph):
     """A bipartition (part_a, part_b) with the smallest vertex of every
     component in part_a, or None if an odd cycle exists."""
-    color = _two_coloring(g.adjacency)
-    if color is None:
-        return None
-    part_a = frozenset(v for v, c in color.items() if c == 0)
-    part_b = frozenset(v for v, c in color.items() if c == 1)
-    return (part_a, part_b)
+    part_a = part_b = 0
+    for _, sides in g.component_colorings:
+        if sides is None:
+            return None
+        part_a |= sides[0]
+        part_b |= sides[1]
+    return (frozenset(_vertices(part_a)), frozenset(_vertices(part_b)))
 
 
 def _simple_cycles(adj, cap):
@@ -225,22 +284,24 @@ def _simple_cycles(adj, cap):
     vertex first, then its smaller cycle-neighbor.  DFS path extension
     rooted at the minimum vertex of each cycle."""
     cycles = []
-    vertices = sorted(adj)
-    for root in vertices:
-        # paths root -> ... using only vertices > root internally
-        stack = [(root, [root], {root})]
+    for root in range(1, len(adj)):
+        above = -1 << root + 1  # paths root -> ... use only vertices > root
+        if (adj[root] & above).bit_count() < 2:
+            continue  # no cycle has root as its smallest vertex
+        stack = [(root, (root,), 1 << root)]
         while stack:
             u, path, on_path = stack.pop()
-            for w in sorted(adj[u], reverse=True):
-                if w == root:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        cycles.append(tuple(path))
-                        if len(cycles) > cap:
-                            raise ResourceCapError(
-                                f"more than {cap} simple cycles", cap
-                            )
-                elif w > root and w not in on_path:
-                    stack.append((w, path + [w], on_path | {w}))
+            nbrs = adj[u]
+            if nbrs >> root & 1 and len(path) >= 3 and path[1] < u:
+                cycles.append(path)
+                if len(cycles) > cap:
+                    raise ResourceCapError(f"more than {cap} simple cycles", cap)
+            rest = nbrs & above & ~on_path
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                stack.append((w, path + (w,), on_path | low))
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 
@@ -251,53 +312,40 @@ def enumerate_simple_cycles(g: SimpleGraph, cap=None) -> list:
     return _simple_cycles(g.adjacency, effective_cap(cap))
 
 
-def _has_polynomial_edge_ring(adj, verts):
-    """Whether the component on verts has at most one independent cycle,
-    and that cycle, if any, is odd.  A unicyclic graph is 2-colorable iff
-    its cycle is even."""
-    sub = _restrict(adj, verts)
-    cyclo = len(_edges_of(sub)) - len(verts) + 1
-    return cyclo == 0 or (cyclo == 1 and _two_coloring(sub) is None)
+def _has_polynomial_edge_ring(adj, verts, sides):
+    """Whether the component on the vertex tuple verts with 2-coloring
+    sides has at most one independent cycle, and that cycle, if any, is
+    odd.  A unicyclic graph is 2-colorable iff its cycle is even."""
+    cyclo = sum(adj[v].bit_count() for v in verts) // 2 - len(verts) + 1
+    return cyclo == 0 or (cyclo == 1 and sides is None)
 
 
 def is_polynomial_edge_ring(g: SimpleGraph) -> bool:
     """True iff every component has at most one independent cycle and any
     such cycle is odd; equivalently, no primitive even walks exist."""
     return all(
-        _has_polynomial_edge_ring(g.adjacency, verts)
-        for verts in g.component_vertex_sets
+        _has_polynomial_edge_ring(g.adjacency, verts, sides)
+        for verts, (_, sides) in zip(g.component_vertex_sets, g.component_colorings)
     )
 
 
 def _four_cycle_union_edges(adj):
-    """Edges lying on some 4-cycle: for every vertex pair with >= 2 common
-    neighbors, all edges to those common neighbors.  Bitmask adjacency
-    keeps the pair scan cheap."""
-    verts = sorted(adj)
-    index = {v: i for i, v in enumerate(verts)}
-    masks = [0] * len(verts)
-    for v in verts:
-        m = 0
-        for w in adj[v]:
-            m |= 1 << index[w]
-        masks[index[v]] = m
-    h = set()
-    nv = len(verts)
-    for i in range(nv):
-        mi = masks[i]
-        u = verts[i]
-        for j in range(i + 1, nv):
-            common = mi & masks[j]
-            if common and common & (common - 1):  # at least two bits set
-                v = verts[j]
-                c = common
-                while c:
-                    bit = c & -c
-                    c ^= bit
-                    a = verts[bit.bit_length() - 1]
-                    h.add((u, a) if u < a else (a, u))
-                    h.add((v, a) if v < a else (a, v))
-    return h
+    """Neighbour masks of the union H of all 4-cycles: every vertex pair
+    with >= 2 common neighbours adds those neighbours to both masks.  The
+    result is symmetric, because a 4-cycle u-a-v-b has the two diagonals
+    (u, v) and (a, b), which between them add all four edges at both
+    ends."""
+    h = [0] * len(adj)
+    for u in range(1, len(adj)):
+        mu = adj[u]
+        if not mu & (mu - 1):  # fewer than two neighbours
+            continue
+        for v in range(u + 1, len(adj)):
+            common = mu & adj[v]
+            if common & (common - 1):  # at least two bits set
+                h[u] |= common
+                h[v] |= common
+    return tuple(h)
 
 
 def four_cycle_union_subgraph(g: SimpleGraph) -> SimpleGraph:
@@ -306,27 +354,15 @@ def four_cycle_union_subgraph(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(g.n, g.four_cycle_union)
 
 
-def _complete_bipartite_2s(h_edges):
-    """If the graph with edge set h_edges is complete bipartite with parts
-    of sizes 2 and s >= 2, return (small_part, big_part); else None."""
-    if not h_edges:
-        return None
-    adj = {}
-    for u, v in h_edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    color = _two_coloring(adj)
-    if color is None:
-        return None
-    part0 = sorted(v for v, c in color.items() if c == 0)
-    part1 = sorted(v for v, c in color.items() if c == 1)
-    if len(part0) > len(part1):
-        part0, part1 = part1, part0
-    if len(part0) != 2 or len(part1) < 2:
-        return None
-    if len(h_edges) != len(part0) * len(part1):
-        return None  # not complete
-    return (part0, part1)
+def _is_complete_bipartite_2s(h_adj, h_mask):
+    """Whether the graph with adjacency masks h_adj on the vertex mask
+    h_mask is complete bipartite with parts of sizes 2 and s >= 2."""
+    layers = _component_layers(h_adj, h_mask)
+    if len(layers) != 1 or layers[0][1] is None:
+        return False
+    small, big = sorted(side.bit_count() for side in layers[0][1])
+    degrees = sum(nbrs.bit_count() for nbrs in h_adj)
+    return small == 2 and big >= 2 and degrees == 4 * big
 
 
 def has_long_primitive_even_walk(g: SimpleGraph, cap=None):
@@ -357,37 +393,31 @@ def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
     return _fresh_ideal(g.n, pts, ((1,) * g.n, 2))
 
 
-def _restrict(adj, verts):
-    vs = set(verts)
-    return {v: adj[v] & vs for v in verts}
-
-
-def _edges_of(adj):
-    return {(u, v) for u in adj for v in adj[u] if u < v}
-
-
-def _classify_connected(g, verts, cap, bipartite_rule=True):
-    """Classifier for the connected component of g on the sorted vertex
-    tuple verts."""
-    if _has_polynomial_edge_ring(g.adjacency, verts):
+def _classify_connected(g, verts, mask, sides, cap, bipartite_rule=True):
+    """Classifier for the connected component of g on the vertex tuple
+    verts, with vertex mask mask and 2-coloring sides."""
+    adj = g.adjacency
+    if _has_polynomial_edge_ring(adj, verts, sides):
         return GraphVerdict(True, "no-primitive-walks")
     # every 4-cycle lies inside one component
-    members = set(verts)
-    h_edges = {e for e in g.four_cycle_union if e[0] in members}
-    if h_edges:
-        shape = _complete_bipartite_2s(h_edges)
-        if shape is None:
+    h_adj = _restrict(g.four_cycle_adjacency, mask)
+    h_mask = 0
+    for nbrs in h_adj:  # H is symmetric: its vertices are its neighbours
+        h_mask |= nbrs
+    if h_mask:
+        if not _is_complete_bipartite_2s(h_adj, h_mask):
             return GraphVerdict(
                 False,
                 "K2s-with-short-walks",
-                witness={"four_cycle_union": sorted(list(e) for e in h_edges)},
+                witness={"four_cycle_union": [list(e) for e in _mask_edges(h_adj)]},
             )
-    adj = _restrict(g.adjacency, verts)
-    if bipartite_rule and _two_coloring(adj) is not None:
-        handled, verdict = _classify_bipartite_connected(adj, verts, h_edges, cap)
-        if handled:
-            return verdict
-    walk = _long_walk(adj, cap)
+        if (
+            bipartite_rule
+            and sides is not None
+            and _bipartite_rule_holds(adj, mask, h_adj, h_mask)
+        ):
+            return GraphVerdict(True, "K2s-with-short-walks")
+    walk = _long_walk(_restrict(adj, mask), cap)
     if walk is not None:
         return GraphVerdict(False, "witness-long-walk", witness=walk)
     return GraphVerdict(True, "K2s-with-short-walks")
@@ -401,12 +431,11 @@ def _long_walk(adj, cap):
             if len(c) >= 6:
                 return {"kind": "even-cycle", "cycle": list(c)}
         else:
-            odd.append(c)
-    for i, c1 in enumerate(odd):
-        s1 = set(c1)
-        for c2 in odd[i + 1 :]:
-            shared = len(s1.intersection(c2))
-            if shared <= 1:
+            odd.append((c, sum(1 << v for v in c)))
+    for i, (c1, m1) in enumerate(odd):
+        for c2, m2 in odd[i + 1 :]:
+            shared = m1 & m2
+            if not shared & (shared - 1):  # at most one shared vertex
                 kind = (
                     "odd-cycles-sharing-one-vertex" if shared else "disjoint-odd-cycles"
                 )
@@ -414,42 +443,29 @@ def _long_walk(adj, cap):
     return None
 
 
-def _classify_bipartite_connected(adj, verts, h_edges, cap):
-    """Structural rule for connected bipartite graphs that are not trees
-    (trees are decided earlier): Freiman iff the 4-cycle union H is
-    complete bipartite of type (2,s) and the rest of the graph consists
-    of induced trees, each meeting H in exactly one vertex.  Returns
-    (handled, verdict); handled=False defers to the general walk search
-    (only for witness construction on failure).
-    """
-    if not h_edges:
-        # bipartite, not a tree, but no 4-cycle: some even cycle is long
-        return False, None
-    h_verts = {v for e in h_edges for v in e}
-    # edges inside V(H) must be exactly the H edges
-    for u, v in _edges_of(adj):
-        if u in h_verts and v in h_verts and (u, v) not in h_edges:
-            return False, None
-    outside = [v for v in verts if v not in h_verts]
-    out_adj = _restrict(adj, outside)
-    for comp in _component_vertex_sets(out_adj):
-        anchors = set()
-        comp_set = set(comp)
-        inner = 0
-        for v in comp:
-            for w in adj[v]:
-                if w in h_verts:
-                    anchors.add(w)
-                elif w in comp_set:
-                    inner += 1
-        inner //= 2
-        attach = sum(1 for v in comp for w in adj[v] if w in anchors)
-        if len(anchors) != 1:
-            return False, None
-        # the component plus its anchor must form a tree
-        if inner + attach != len(comp):
-            return False, None
-    return True, GraphVerdict(True, "K2s-with-short-walks")
+def _bipartite_rule_holds(adj, mask, h_adj, h_mask):
+    """Structural rule for a connected bipartite component (vertex mask
+    mask) that is not a tree and whose 4-cycle union H (adjacency h_adj,
+    vertex mask h_mask) is complete bipartite of type (2,s): it is Freiman
+    iff the edges inside V(H) are exactly the H edges and the rest of the
+    component consists of induced trees, each meeting H in exactly one
+    vertex.  False defers to the general walk search (only for witness
+    construction on failure)."""
+    if any(adj[v] & h_mask != h_adj[v] for v in _vertices(h_mask)):
+        return False
+    for part, _ in _component_layers(adj, mask & ~h_mask):
+        verts = _vertices(part)
+        anchors = 0
+        for v in verts:
+            anchors |= adj[v] & h_mask
+        if anchors.bit_count() != 1:
+            return False
+        inner = sum((adj[v] & part).bit_count() for v in verts) // 2
+        attach = sum((adj[v] & anchors).bit_count() for v in verts)
+        # the part plus its anchor must form a tree
+        if inner + attach != len(verts):
+            return False
+    return True
 
 
 def classify_freiman_graph(g: SimpleGraph, cap=None, _bipartite_rule=True) -> GraphVerdict:
@@ -461,15 +477,19 @@ def classify_freiman_graph(g: SimpleGraph, cap=None, _bipartite_rule=True) -> Gr
     bipartite components (used to cross-check the structural shortcut).
     """
     cap = effective_cap(cap)
-    comps = _edged_component_vertex_sets(g)
+    comps = [
+        (verts, mask, sides)
+        for verts, (mask, sides) in zip(g.component_vertex_sets, g.component_colorings)
+        if len(verts) > 1
+    ]
     if len(comps) <= 1:
         if not comps:
             return GraphVerdict(True, "no-primitive-walks")
-        return _classify_connected(g, comps[0], cap, _bipartite_rule)
+        return _classify_connected(g, *comps[0], cap, _bipartite_rule)
     verdicts = []
     nonpoly = []
-    for vs in comps:
-        v = _classify_connected(g, vs, cap, _bipartite_rule)
+    for vs, mask, sides in comps:
+        v = _classify_connected(g, vs, mask, sides, cap, _bipartite_rule)
         verdicts.append((vs, v))
         if v.reason != "no-primitive-walks":
             nonpoly.append(vs)

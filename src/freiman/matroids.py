@@ -15,7 +15,12 @@ from math import comb
 
 from .errors import PreconditionError, ResourceCapError, effective_cap
 from .fiber import h_vector, mu_series
-from .graphs import SimpleGraph, _edged_component_vertex_sets
+from .graphs import (
+    SimpleGraph,
+    _component_layers,
+    _edge_masks,
+    _edged_component_vertex_sets,
+)
 from .ideals import MonomialIdeal, _fresh_ideal
 from .lattice import affine_dim
 from .linalg import integer_det
@@ -51,20 +56,13 @@ class MatroidVerdict:
 
 def matrix_tree_count(g: SimpleGraph) -> int:
     """Number of spanning forests: the product over components of reduced
-    Laplacian determinants."""
+    Laplacian determinants.  Read it as the cached g.forest_count."""
     adj = g.adjacency
     total = 1
     for verts in _edged_component_vertex_sets(g):
-        k = len(verts)
-        index = {v: i for i, v in enumerate(verts)}
-        lap = [[0] * k for _ in range(k)]
-        for v in verts:
-            i = index[v]
-            for w in adj[v]:
-                j = index[w]
-                lap[i][i] += 1
-                lap[i][j] -= 1
-        reduced = [row[: k - 1] for row in lap[: k - 1]]
+        reduced = [[-(adj[v] >> w & 1) for w in verts[:-1]] for v in verts[:-1]]
+        for i, v in enumerate(verts[:-1]):
+            reduced[i][i] = adj[v].bit_count()
         total *= integer_det(reduced)
     return total
 
@@ -73,60 +71,49 @@ def spanning_forests(g: SimpleGraph, cap=None) -> list:
     """All spanning forests as sorted tuples of edge indices into
     g.sorted_edges(), in lexicographic order.
 
-    Enumerates spanning trees per component and takes their product; the
-    resulting count is cross-checked against the matrix-tree determinant.
+    The forests are enumerated once per graph (g._forests); every call
+    first checks the cap against the matrix-tree count and against the
+    edge subsets the enumeration scans, and hands out a fresh list.
     """
     if not g.edges:
         raise PreconditionError("an edgeless graph has no spanning forests")
     cap = effective_cap(cap)
-    expected = matrix_tree_count(g)
+    expected = g.forest_count
     if expected > cap:
         raise ResourceCapError(f"{expected} spanning forests", cap)
+    adj = g.adjacency
+    for verts in _edged_component_vertex_sets(g):
+        m_c = sum(adj[v].bit_count() for v in verts) // 2
+        size = len(verts) - 1
+        if comb(m_c, size) > 8 * cap:
+            raise ResourceCapError(f"scanning C({m_c},{size}) edge subsets", cap)
+    return list(g._forests)
+
+
+def _enumerate_forests(g: SimpleGraph) -> tuple:
+    """Spanning trees per component by scanning the (n_c - 1)-edge subsets
+    for connected ones, combined into forests and cross-checked against
+    the matrix-tree count.  Unbounded: spanning_forests checks the cap."""
     ground = g.sorted_edges()
     per_component = []
     for verts in _edged_component_vertex_sets(g):
-        k = len(verts)
-        vs = set(verts)
-        comp_edges = [i for i, (u, v) in enumerate(ground) if u in vs]
-        size = k - 1
-        if comb(len(comp_edges), size) > 8 * cap:
-            raise ResourceCapError(
-                f"scanning C({len(comp_edges)},{size}) edge subsets", cap
-            )
+        span = sum(1 << v for v in verts)
+        comp_edges = [i for i, (u, _) in enumerate(ground) if span >> u & 1]
         trees = []
-        for subset in combinations(comp_edges, size):
-            parent = {v: v for v in verts}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            acyclic = True
-            for i in subset:
-                u, v = ground[i]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    acyclic = False
-                    break
-                parent[ru] = rv
-            if acyclic:
+        for subset in combinations(comp_edges, len(verts) - 1):
+            sub = _edge_masks(g.n + 1, [ground[i] for i in subset])
+            if len(_component_layers(sub, span)) == 1:  # connected, so a tree
                 trees.append(subset)
         per_component.append(trees)
-    if not per_component:
-        forests = [()]
-    else:
-        forests = [
-            tuple(sorted(i for part in choice for i in part))
-            for choice in product(*per_component)
-        ]
-    forests.sort()
-    if len(forests) != expected:
+    forests = sorted(
+        tuple(sorted(i for part in choice for i in part))
+        for choice in product(*per_component)
+    )
+    if len(forests) != g.forest_count:
         raise ArithmeticError(
-            f"forest enumeration found {len(forests)}, matrix-tree says {expected}"
+            f"forest enumeration found {len(forests)}, matrix-tree says {g.forest_count}"
         )
-    return forests
+    return tuple(forests)
 
 
 def cycle_matroid(g: SimpleGraph, cap=None) -> CycleMatroid:

@@ -18,9 +18,9 @@ from .fiber import h_vector, is_freiman, mu_from_h, mu_series
 from .formats import graph_to_dict
 from .graphs import (
     SimpleGraph,
+    _component_layers,
+    _edge_masks,
     _edged_component_vertex_sets,
-    _restrict,
-    _two_coloring,
     classify_freiman_graph,
     edge_ideal,
     is_polynomial_edge_ring,
@@ -31,7 +31,6 @@ from .matroids import (
     classify_freiman_matroid,
     cut_vertices,
     is_two_connected,
-    matrix_tree_count,
     matroidal_ideal,
     spanning_forests,
 )
@@ -108,10 +107,8 @@ def _check_graph_instance(g, tally, cap, deep):
         "spread-upper-bound", profile.ell <= min(profile.mu_series[1], g.n), g
     )
     # isolated vertices count as bipartite components
-    comps = g.component_vertex_sets
-    nbip = sum(
-        1 for vs in comps if _two_coloring(_restrict(g.adjacency, vs)) is not None
-    )
+    comps = g.component_colorings
+    nbip = sum(1 for _, sides in comps if sides is not None)
     tally.record("edge-ring-spread-identity", profile.ell == g.n - nbip, g)
 
     if nbip == len(comps):  # every component bipartite: the structural rule applies
@@ -124,7 +121,7 @@ def _check_graph_instance(g, tally, cap, deep):
             tally.skip("bipartite-rule-vs-general")
 
     m = g.num_edges
-    has_c4 = bool(g.four_cycle_union)
+    has_c4 = any(g.four_cycle_adjacency)
     tally.record(
         "four-cycle-doubling-deficit",
         has_c4 == (profile.mu_series[2] < comb(m + 1, 2)),
@@ -192,7 +189,7 @@ def _check_matroid_instance(g, tally, cap, regularity_max_edges):
     )
     tally.record(
         "forest-count-matrix-tree",
-        len(spanning_forests(g, cap=cap)) == matrix_tree_count(g),
+        len(spanning_forests(g, cap=cap)) == g.forest_count,
         g,
     )
     if verdict.freiman:
@@ -218,31 +215,6 @@ def _check_matroid_instance(g, tally, cap, regularity_max_edges):
             tally.skip("matroid-regularity-bounds")
 
 
-def _graph_from_mask(n, mask, pairs):
-    edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-    return SimpleGraph(n, frozenset(edges))
-
-
-def _connected_spanning(n, mask, pairs):
-    adj = [0] * (n + 1)
-    for i in range(len(pairs)):
-        if mask >> i & 1:
-            u, v = pairs[i]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    seen = 2  # vertex 1
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        rest = adj[u] & ~seen
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            seen |= bit
-            stack.append(bit.bit_length() - 1)
-    return seen == (1 << (n + 1)) - 2
-
-
 def _is_canonical_mask(n, mask, pairs):
     """Smallest mask among all vertex relabelings (used by --up-to-iso)."""
     index = {e: i for i, e in enumerate(pairs)}
@@ -260,14 +232,16 @@ def _is_canonical_mask(n, mask, pairs):
 def _sweep_chunk(args):
     (n, lo, hi, cap, deep_max_vertices, max_edges, regularity_max_edges, up_to_iso) = args
     pairs = list(combinations(range(1, n + 1), 2))
+    everyone = (1 << n + 1) - 2
     tally = _Tally()
     graphs_seen = 0
     for mask in range(lo, hi):
-        if not _connected_spanning(n, mask, pairs):
-            continue
+        edges = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+        if _component_layers(_edge_masks(n + 1, edges), everyone)[0][0] != everyone:
+            continue  # not connected
         if up_to_iso and not _is_canonical_mask(n, mask, pairs):
             continue
-        g = _graph_from_mask(n, mask, pairs)
+        g = SimpleGraph(n, edges)
         graphs_seen += 1
         _check_graph_instance(g, tally, cap, deep=n <= deep_max_vertices)
         if g.num_edges <= max_edges:

@@ -1,10 +1,11 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
-from freiman.cli import main
+from freiman.cli import _resolve_jobs, main
 from helpers import cli_env
 
 C4_JSON = '{"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}'
@@ -207,6 +208,84 @@ def test_missing_dump_dir_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
         assert code == 1
         assert out == ""
         assert err.startswith("error: --dump-dir")
+
+
+def test_jobs_below_one_is_a_parse_error(capsys, monkeypatch):
+    def no_sweep(**_):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("freiman.cli.run_verify", no_sweep)
+    for value in ("0", "-3"):
+        code, out, err = run_cli(["verify", "--jobs", value], capsys)
+        assert code == 1, value
+        assert out == ""
+        assert err.startswith("error: --jobs") and err.count("\n") == 1
+
+
+def test_jobs_are_clamped_to_the_cpu_count(capsys, monkeypatch):
+    cpus = os.cpu_count() or 1
+    assert _resolve_jobs(None) is None
+    assert _resolve_jobs(1) == 1
+    assert _resolve_jobs(10**12) == cpus
+    # the CLI hands run_verify the clamped value; the sweep itself is stubbed
+    seen = []
+
+    def stub(**kwargs):
+        seen.append(kwargs["jobs"])
+        return {"command": "verify", "rows": [], "counterexamples": [], "all_passed": True}
+
+    monkeypatch.setattr("freiman.cli.run_verify", stub)
+    code, _, _ = run_cli(["verify", "--jobs", str(10**12)], capsys)
+    assert code == 0
+    assert seen == [cpus]
+
+
+def test_verify_failure_exits_4(tmp_path, capsys, monkeypatch):
+    failing = {
+        "command": "verify",
+        "rows": [{"name": "some-row", "instances": 1, "failures": 1,
+                  "skipped": 0, "status": "FAIL"}],
+        "counterexamples": [{"row": "some-row", "graph": {"n": 2, "edges": [[1, 2]]}}],
+        "all_passed": False,
+    }
+    monkeypatch.setattr("freiman.cli.run_verify", lambda **_: failing)
+    code, out, err = run_cli(
+        ["verify", "--dump-dir", str(tmp_path), "--no-timing"], capsys
+    )
+    assert code == 4
+    assert err == ""
+    assert json.loads(out) == failing
+    dumped = list(tmp_path.glob("counterexample-some-row-*.json"))
+    assert len(dumped) == 1
+    assert json.loads(dumped[0].read_text()) == {"n": 2, "edges": [[1, 2]]}
+
+
+def test_internal_invariant_exits_5(tmp_path, capsys, monkeypatch):
+    import freiman.matroids as matroids
+
+    path = write(tmp_path, "k4.json", K4_JSON)
+    count = matroids.matrix_tree_count
+    monkeypatch.setattr(matroids, "matrix_tree_count", lambda g: count(g) + 1)
+    code, out, err = run_cli(["matroid", "classify", path], capsys)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal invariant violated: forest enumeration")
+    assert err.count("\n") == 1
+
+
+def test_h_degree_bound_violation_exits_5(tmp_path, capsys, monkeypatch):
+    import freiman.matroids as matroids
+
+    path = write(tmp_path, "bowtie.json", BOWTIE_JSON)
+    h_vector = matroids.h_vector
+    monkeypatch.setattr(matroids, "h_vector", lambda mu, ell: h_vector(mu, ell)[:-1] + [1])
+    code, out, err = run_cli(["matroid", "classify", path, "--hvector"], capsys)
+    assert code == 5
+    assert out == ""
+    assert err == (
+        "error: internal invariant violated: "
+        "h-polynomial exceeds its degree bound e - 2\n"
+    )
 
 
 def test_installed_entry_point(tmp_path):

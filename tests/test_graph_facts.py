@@ -1,16 +1,17 @@
-"""Differential tests of the graph facts SimpleGraph derives (components,
-2-coloring, cut vertices and blocks, the 4-cycle union) against networkx
-and a brute-force 4-cycle scan, on every labeled graph with at most 5
-vertices and on seeded random graphs with at most 8 vertices."""
+"""Differential tests of the graph facts SimpleGraph derives (adjacency
+masks, components and their 2-colorings, cut vertices and blocks, the
+4-cycle union, simple cycles, the matrix-tree count) against networkx and
+a brute-force 4-cycle scan, on every labeled graph with at most 5 vertices
+and on seeded random graphs with at most 8 vertices."""
 
 import random
 from itertools import combinations, permutations
 
 import pytest
 
-from freiman import SimpleGraph, is_bipartite
-from freiman.graphs import _edged_component_vertex_sets
-from freiman.matroids import _cut_multiplicity, cut_vertices
+from freiman import SimpleGraph, enumerate_simple_cycles, is_bipartite
+from freiman.graphs import _edged_component_vertex_sets, _vertices
+from freiman.matroids import _cut_multiplicity, cut_vertices, matrix_tree_count
 
 nx = pytest.importorskip("networkx")
 
@@ -79,3 +80,60 @@ def test_bipartition_is_a_proper_two_coloring():
         assert part_a | part_b == set(range(1, g.n + 1))
         assert all((u in part_a) != (v in part_a) for u, v in g.edges)
         assert all(vs[0] in part_a for vs in g.component_vertex_sets)
+
+
+def _canonical_cycle(cycle):
+    """Rotate the smallest vertex to the front, then read the cycle
+    towards its smaller neighbour."""
+    i = cycle.index(min(cycle))
+    c = tuple(cycle[i:]) + tuple(cycle[:i])
+    return c if c[1] < c[-1] else (c[0],) + c[:0:-1]
+
+
+def test_adjacency_masks_give_back_the_edges():
+    for g in GRAPHS:
+        adj = g.adjacency
+        assert len(adj) == g.n + 1 and adj[0] == 0
+        edges = {(u, w) for u in range(1, g.n + 1) for w in _vertices(adj[u]) if u < w}
+        assert edges == g.edges, (g.n, g.sorted_edges())
+        assert all(adj[u] >> u & 1 == 0 for u in range(1, g.n + 1))
+
+
+def test_simple_cycles_match_networkx():
+    for g in GRAPHS:
+        expected = sorted(
+            (_canonical_cycle(c) for c in nx.simple_cycles(_to_nx(g))),
+            key=lambda c: (len(c), c),
+        )
+        assert enumerate_simple_cycles(g) == expected, (g.n, g.sorted_edges())
+
+
+def test_matrix_tree_count_matches_networkx():
+    for g in GRAPHS:
+        G = _to_nx(g)
+        expected = 1
+        for verts in _edged_component_vertex_sets(g):
+            expected *= round(nx.number_of_spanning_trees(G.subgraph(verts)))
+        assert matrix_tree_count(g) == expected, (g.n, g.sorted_edges())
+        assert g.forest_count == expected
+
+
+def test_component_colorings_match_networkx():
+    for g in GRAPHS:
+        G = _to_nx(g)
+        where = (g.n, g.sorted_edges())
+        colorings = g.component_colorings
+        assert len(colorings) == len(g.component_vertex_sets), where
+        for verts, (mask, sides) in zip(g.component_vertex_sets, colorings):
+            assert _vertices(mask) == verts, where
+            assert (sides is not None) == nx.is_bipartite(G.subgraph(verts)), where
+            if sides is None:
+                continue
+            even, odd = sides
+            assert even | odd == mask and not even & odd, where
+            assert even >> verts[0] & 1, where
+            assert all(
+                (even >> u & 1) != (even >> v & 1)
+                for u, v in g.edges
+                if mask >> u & 1
+            ), where

@@ -71,6 +71,32 @@ def test_spanning_forests_cap():
         spanning_forests(complete_graph(5), cap=100)  # 125 trees
 
 
+def test_cap_is_checked_on_every_call_after_caching():
+    k5 = complete_graph(5)  # 125 trees
+    # six triangles in a chain: 3^6 = 729 trees, C(18,12) = 18,564 subsets
+    chain = graph(
+        13, [e for i in range(1, 13, 2) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
+    )
+    for g, cap, message in (
+        (k5, 100, "125 spanning forests"),
+        (chain, 1000, "scanning C(18,12) edge subsets"),
+    ):
+        for _ in range(2):  # before and after the forests are cached
+            with pytest.raises(ResourceCapError) as err:
+                spanning_forests(g, cap=cap)
+            assert err.value.what == message
+            forests = spanning_forests(g)
+        assert len(forests) == g.forest_count == matrix_tree_count(g)
+
+
+def test_returned_forests_do_not_alias_the_cache():
+    g = bowtie()
+    first = spanning_forests(g)
+    first.clear()
+    assert len(spanning_forests(g)) == 9
+    assert spanning_forests(g) is not spanning_forests(g)
+
+
 def test_matrix_tree_known_values():
     # Cayley: n^(n-2) labeled trees on K_n
     for n in (3, 4, 5, 6):
