@@ -7,6 +7,9 @@ still written), 5 an internal invariant was violated (an ArithmeticError,
 e.g. the forest enumeration disagreeing with the matrix-tree count, or an
 h-polynomial above its degree bound).  Output is assembled fully before
 printing, so fatal errors never leave partial reports behind.
+
+Only the `verify` branch imports the verify harness, so the analysis
+commands never load it or its worker pool.
 """
 
 import argparse
@@ -17,7 +20,6 @@ from pathlib import Path
 from .errors import ParseError, PreconditionError, ResourceCapError
 from .formats import dump_json, parse_graph, parse_ideal
 from .reports import graph_report, ideal_report, matroid_report, render_table
-from .verify import run_verify
 
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
@@ -151,6 +153,8 @@ def _dispatch(args):
             g, with_hvector=args.hvector, cap=cap, no_timing=args.no_timing
         )
     else:
+        from .verify import run_verify
+
         if not Path(args.dump_dir).is_dir():
             raise ParseError(f"--dump-dir {args.dump_dir} is not a directory")
         report = run_verify(

@@ -43,6 +43,9 @@ class SimpleGraph:
       _forests               -- the spanning forests themselves; read them
                                 through matroids.spanning_forests, which
                                 applies the cap first
+      _matroidal_ideal       -- the ideal of those forests; read it
+                                through matroids.matroidal_ideal, which
+                                applies the same cap first
     Caching is safe because the graph is immutable and every fact is
     immutable too.
     """
@@ -110,6 +113,12 @@ class SimpleGraph:
         from . import matroids
 
         return matroids._enumerate_forests(self)
+
+    @cached_property
+    def _matroidal_ideal(self):
+        from . import matroids
+
+        return matroids._build_matroidal_ideal(self)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Everything here is fraction-free or Fraction-based; no floating point.
 The three consumers are affine-hull ranks (Bareiss), matrix-tree
 determinants (Bareiss), and the positive-weight feasibility search for
-quasi-equigeneration witnesses (nullspace basis + exact simplex).
+quasi-equigeneration witnesses (nullspace basis + exact simplex).  Only
+that search, reached for ideals that are not equigenerated, imports
+fractions.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -80,6 +81,8 @@ def nullspace_basis(rows, ncols):
     Row-reduces over Fraction, then clears denominators per basis vector.
     Returns a list of integer tuples (possibly empty).
     """
+    from fractions import Fraction
+
     m = [[Fraction(x) for x in r] for r in rows]
     pivots = []  # (row, col)
     r = 0
@@ -122,6 +125,8 @@ def _simplex_max(c, a, b):
     Dense tableau simplex with Bland's rule; all entries Fraction.
     Returns (optimum, x).  The callers only pose bounded programs.
     """
+    from fractions import Fraction
+
     nvars = len(c)
     ncons = len(a)
     tab = []

@@ -72,9 +72,15 @@ def spanning_forests(g: SimpleGraph, cap=None) -> list:
     g.sorted_edges(), in lexicographic order.
 
     The forests are enumerated once per graph (g._forests); every call
-    first checks the cap against the matrix-tree count and against the
-    edge subsets the enumeration scans, and hands out a fresh list.
+    first checks the cap and hands out a fresh list.
     """
+    _check_forest_cap(g, cap)
+    return list(g._forests)
+
+
+def _check_forest_cap(g: SimpleGraph, cap):
+    """Check the cap against the matrix-tree count and against the edge
+    subsets the forest enumeration scans."""
     if not g.edges:
         raise PreconditionError("an edgeless graph has no spanning forests")
     cap = effective_cap(cap)
@@ -87,7 +93,6 @@ def spanning_forests(g: SimpleGraph, cap=None) -> list:
         size = len(verts) - 1
         if comb(m_c, size) > 8 * cap:
             raise ResourceCapError(f"scanning C({m_c},{size}) edge subsets", cap)
-    return list(g._forests)
 
 
 def _enumerate_forests(g: SimpleGraph) -> tuple:
@@ -126,23 +131,25 @@ def cycle_matroid(g: SimpleGraph, cap=None) -> CycleMatroid:
 
 def matroidal_ideal(g: SimpleGraph, cap=None) -> MonomialIdeal:
     """Squarefree ideal with one generator per spanning forest, in
-    m = |E(g)| variables; equigenerated of degree n - s."""
-    forests = spanning_forests(g, cap=cap)
+    m = |E(g)| variables; equigenerated of degree n - s.  Built once per
+    graph (g._matroidal_ideal); every call first checks the cap as
+    spanning_forests does."""
+    _check_forest_cap(g, cap)
+    return g._matroidal_ideal
+
+
+def _build_matroidal_ideal(g: SimpleGraph) -> MonomialIdeal:
+    """The matroidal ideal of the unbounded g._forests."""
+    forests = g._forests
     m = g.num_edges
-    degree = len(forests[0])
-    if degree == 0:
-        raise PreconditionError(
-            "every component is a single vertex; the matroidal ideal is trivial"
-        )
     pts = set()
     for f in forests:
         vec = [0] * m
         for i in f:
             vec[i] = 1
         pts.add(tuple(vec))
-    pts = frozenset(pts)
     # equal-cardinality 0/1 vectors are automatically an antichain
-    return _fresh_ideal(m, pts, ((1,) * m, degree))
+    return _fresh_ideal(m, frozenset(pts), ((1,) * m, len(forests[0])))
 
 
 def cut_vertices(g: SimpleGraph) -> frozenset:

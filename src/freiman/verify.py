@@ -11,7 +11,6 @@ import os
 import random
 from itertools import combinations, permutations
 from math import comb
-from multiprocessing import get_context
 
 from .errors import PreconditionError, ResourceCapError
 from .fiber import h_vector, is_freiman, mu_from_h, mu_series
@@ -287,6 +286,8 @@ def _merge_results(results):
 def _run_chunks(worker, chunk_args, jobs):
     if jobs <= 1 or len(chunk_args) <= 1:
         return [worker(a) for a in chunk_args]
+    from multiprocessing import get_context
+
     with get_context("fork").Pool(jobs) as pool:
         return pool.map(worker, chunk_args)
 
@@ -312,8 +313,11 @@ def run_verify(
         jobs = max(1, min(4, os.cpu_count() or 1))
     if mode not in ("exhaustive", "random"):
         raise ValueError("mode must be 'exhaustive' or 'random'")
-    if mode == "random" and max_vertices < 2:
-        raise PreconditionError("random mode needs --max-vertices of at least 2")
+    # a run that checks no graph must not report all_passed
+    if max_vertices < 2:
+        raise PreconditionError(f"{mode} mode needs --max-vertices of at least 2")
+    if mode == "random" and count < 1:
+        raise PreconditionError("random mode needs --count of at least 1")
 
     chunk_args = []
     if mode == "exhaustive":

@@ -141,6 +141,17 @@ def test_verify_random_needs_two_vertices(capsys):
     assert "max-vertices" in err
 
 
+def test_verify_runs_that_would_check_no_graph_exit_2(capsys):
+    for args, flag in (
+        (["--max-vertices", "1"], "--max-vertices"),
+        (["--mode", "random", "--count", "0"], "--count"),
+    ):
+        code, out, err = run_cli(["verify", "--jobs", "1", *args], capsys)
+        assert code == 2, args
+        assert out == ""
+        assert flag in err and err.count("\n") == 1
+
+
 def test_no_partial_output_on_error(tmp_path, capsys):
     path = write(tmp_path, "k4.json", K4_JSON)
     code, out, _ = run_cli(["graph", "classify", path, "--cap", "5"], capsys)
@@ -199,7 +210,7 @@ def test_missing_dump_dir_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
     def no_sweep(**_):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr("freiman.cli.run_verify", no_sweep)
+    monkeypatch.setattr("freiman.verify.run_verify", no_sweep)
     not_a_dir = write(tmp_path, "file.txt", "")
     for dump_dir in (str(tmp_path / "missing"), not_a_dir):
         code, out, err = run_cli(
@@ -214,7 +225,7 @@ def test_jobs_below_one_is_a_parse_error(capsys, monkeypatch):
     def no_sweep(**_):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr("freiman.cli.run_verify", no_sweep)
+    monkeypatch.setattr("freiman.verify.run_verify", no_sweep)
     for value in ("0", "-3"):
         code, out, err = run_cli(["verify", "--jobs", value], capsys)
         assert code == 1, value
@@ -234,7 +245,7 @@ def test_jobs_are_clamped_to_the_cpu_count(capsys, monkeypatch):
         seen.append(kwargs["jobs"])
         return {"command": "verify", "rows": [], "counterexamples": [], "all_passed": True}
 
-    monkeypatch.setattr("freiman.cli.run_verify", stub)
+    monkeypatch.setattr("freiman.verify.run_verify", stub)
     code, _, _ = run_cli(["verify", "--jobs", str(10**12)], capsys)
     assert code == 0
     assert seen == [cpus]
@@ -248,7 +259,7 @@ def test_verify_failure_exits_4(tmp_path, capsys, monkeypatch):
         "counterexamples": [{"row": "some-row", "graph": {"n": 2, "edges": [[1, 2]]}}],
         "all_passed": False,
     }
-    monkeypatch.setattr("freiman.cli.run_verify", lambda **_: failing)
+    monkeypatch.setattr("freiman.verify.run_verify", lambda **_: failing)
     code, out, err = run_cli(
         ["verify", "--dump-dir", str(tmp_path), "--no-timing"], capsys
     )

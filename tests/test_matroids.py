@@ -97,6 +97,16 @@ def test_returned_forests_do_not_alias_the_cache():
     assert spanning_forests(g) is not spanning_forests(g)
 
 
+def test_matroidal_ideal_is_built_once_and_capped_on_every_call():
+    k5 = complete_graph(5)  # 125 trees
+    for _ in range(2):  # before and after the ideal is cached
+        with pytest.raises(ResourceCapError):
+            matroidal_ideal(k5, cap=100)
+        ideal = matroidal_ideal(k5)
+    assert ideal is matroidal_ideal(k5)
+    assert ideal.mu == 125
+
+
 def test_matrix_tree_known_values():
     # Cayley: n^(n-2) labeled trees on K_n
     for n in (3, 4, 5, 6):

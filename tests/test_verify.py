@@ -76,3 +76,10 @@ def test_canonical_mask_is_unique_per_class():
 def test_random_mode_needs_two_vertices():
     with pytest.raises(PreconditionError):
         run_verify(mode="random", max_vertices=1, count=3, jobs=1, no_timing=True)
+
+
+def test_runs_that_would_check_no_graph_are_refused():
+    with pytest.raises(PreconditionError, match="max-vertices"):
+        run_verify(mode="exhaustive", max_vertices=1, jobs=1, no_timing=True)
+    with pytest.raises(PreconditionError, match="count"):
+        run_verify(mode="random", count=0, jobs=1, no_timing=True)
