@@ -1,15 +1,18 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 parse error, 2 precondition violation (e.g. an
-ideal that is not quasi-equigenerated), 3 resource cap exceeded, 4 a
-`verify` row failed (the report is still printed and the counterexamples
-still written), 5 an internal invariant was violated (an ArithmeticError,
-e.g. the forest enumeration disagreeing with the matrix-tree count, or an
+Exit codes: 0 success (also for --help), 1 parse error (malformed input,
+or a usage error such as an unknown option or `--cap 1.5`, reported
+after the usage line), 2 precondition violation (e.g. an ideal that is
+not quasi-equigenerated), 3 resource cap exceeded, 4 a `verify` row
+failed (the report is still printed and the counterexamples still
+written), 5 an internal invariant was violated (an ArithmeticError, e.g.
+the forest enumeration disagreeing with the matrix-tree count, or an
 h-polynomial above its degree bound).  Output is assembled fully before
 printing, so fatal errors never leave partial reports behind.
 
-Only the `verify` branch imports the verify harness, so the analysis
-commands never load it or its worker pool.
+Each command imports only what it runs: only the `verify` branch loads
+the verify harness and its worker pool, `ideal analyze` loads neither the
+graph nor the matroid module, and `graph classify` not the matroid module.
 """
 
 import argparse
@@ -28,6 +31,15 @@ EXIT_VERIFY_FAILED = 4
 EXIT_INTERNAL = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, in every subcommand, are parse
+    errors (exit 1) rather than argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
 def _common_flags(parser):
     parser.add_argument(
         "--format", choices=["json", "table"], default="json",
@@ -43,7 +55,7 @@ def _common_flags(parser):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freiman",
         description=(
             "Decide Freiman ideals by exact sumset arithmetic and classify "
@@ -180,9 +192,8 @@ def _write_counterexamples(report, dump_dir):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(argv))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

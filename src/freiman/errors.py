@@ -1,4 +1,7 @@
-"""Shared exception types and the default resource guard."""
+"""Shared exception types, the default resource guard, and the base of
+the package's immutable record classes."""
+
+from operator import attrgetter
 
 # Default ceiling for any enumeration (lattice points, cycles, forests).
 # Overridable per call and, at the CLI, via --cap / FREIMAN_CAP.
@@ -37,3 +40,45 @@ class ResourceCapError(FreimanError):
 
 def effective_cap(cap):
     return DEFAULT_CAP if cap is None else cap
+
+
+class Record:
+    """Base of the immutable value classes.  A subclass declares its fields
+    as annotations, in constructor order, defaults last; it gets a plain
+    __init__ that stores them and calls __post_init__ if there is one.
+    Records compare and hash by their field tuple within one class, refuse
+    assignment, and keep a __dict__ for functools.cached_property."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*fields)
+        # built once per class, so construction costs what a hand-written
+        # __init__ does
+        lines = [f"def __init__(self, {', '.join(fields)}):", "    d = self.__dict__"]
+        lines += [f"    d[{f!r}] = {f}" for f in fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        scope = {}
+        exec("\n".join(lines), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -7,15 +7,14 @@ is one more than the affine-hull dimension of that set.  All series here
 are exact integers.
 """
 
-from dataclasses import dataclass
 from math import comb
 
+from .errors import Record
 from .ideals import MonomialIdeal, with_witness
 from .lattice import _dilations, affine_dim, generalized_lower_bound
 
 
-@dataclass(frozen=True)
-class FiberProfile:
+class FiberProfile(Record):
     """Freiman verdict for one ideal, with the numbers that force it."""
 
     ell: int                 # analytic spread
@@ -99,8 +98,7 @@ def fiber_profile(mu: list, ell: int) -> FiberProfile:
     )
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(Record):
     """Growth facts for one power k >= 2."""
 
     k: int
@@ -111,8 +109,7 @@ class GrowthRow:
     nonnegative: bool
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(Record):
     ell: int
     mu: tuple
     h: tuple

@@ -9,7 +9,6 @@ header followed by ``u v`` edge lines.  Parse errors carry positions.
 import json
 
 from .errors import ParseError
-from .graphs import SimpleGraph
 from .ideals import MonomialIdeal
 from .lattice import PointSet
 
@@ -29,6 +28,23 @@ def _parse_monomial(text, line, col0):
     def fail(msg, at):
         raise ParseError(msg, line=line, col=col0 + at + 1)
 
+    def number(what, below_one):
+        """The ASCII digits at pos as an int >= 1; str.isdigit would also
+        accept digits such as "²" that int() refuses."""
+        nonlocal pos
+        start = pos
+        while pos < n and "0" <= text[pos] <= "9":
+            pos += 1
+        if start == pos:
+            fail(f"expected {what}", pos)
+        try:
+            value = int(text[start:pos])
+        except ValueError:  # int() refuses more than 4300 digits
+            fail("number too long", start)
+        if value < 1:
+            fail(below_one, start)
+        return value
+
     while True:
         while pos < n and text[pos].isspace():
             pos += 1
@@ -37,25 +53,11 @@ def _parse_monomial(text, line, col0):
         if text[pos] != "x":
             fail(f"expected 'x', found {text[pos]!r}", pos)
         pos += 1
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            fail("expected a variable index after 'x'", pos)
-        var = int(text[start:pos])
-        if var < 1:
-            fail("variable indices start at 1", start)
+        var = number("a variable index after 'x'", "variable indices start at 1")
         exp = 1
         if pos < n and text[pos] == "^":
             pos += 1
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if start == pos:
-                fail("expected an exponent after '^'", pos)
-            exp = int(text[start:pos])
-            if exp < 1:
-                fail("exponents must be >= 1", start)
+            exp = number("an exponent after '^'", "exponents must be >= 1")
         exps[var] = exps.get(var, 0) + exp
         while pos < n and text[pos].isspace():
             pos += 1
@@ -102,11 +104,17 @@ def parse_ideal(text: str) -> MonomialIdeal:
     return _build_ideal(vectors, dim)
 
 
-def _ideal_from_json(stripped):
+def _load_json(stripped):
     try:
-        data = json.loads(stripped)
+        return json.loads(stripped)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, col=exc.colno)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply")
+
+
+def _ideal_from_json(stripped):
+    data = _load_json(stripped)
     if not isinstance(data, list) or not data:
         raise ParseError("expected a non-empty JSON array of exponent vectors")
     vectors = []
@@ -133,15 +141,17 @@ def _build_ideal(vectors, dim):
         raise ParseError(str(exc))
 
 
-def parse_graph(text: str) -> SimpleGraph:
+def parse_graph(text: str) -> "SimpleGraph":
     """Parse a graph in either supported form, rejecting loops, duplicate
     edges, and out-of-range vertices."""
+    from .graphs import SimpleGraph
+
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty input", line=1, col=1)
     if stripped[0] == "{":
-        return _graph_from_json(stripped)
-    return _graph_from_lines(text)
+        return SimpleGraph(*_graph_from_json(stripped))
+    return SimpleGraph(*_graph_from_lines(text))
 
 
 def _check_edges(n, raw_edges, positions=None):
@@ -162,10 +172,7 @@ def _check_edges(n, raw_edges, positions=None):
 
 
 def _graph_from_json(stripped):
-    try:
-        data = json.loads(stripped)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, col=exc.colno)
+    data = _load_json(stripped)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ParseError('expected an object {"n": ..., "edges": [...]}')
     n = data["n"]
@@ -177,7 +184,7 @@ def _graph_from_json(stripped):
         for e in raw
     ):
         raise ParseError('"edges" must be a list of [u, v] integer pairs')
-    return SimpleGraph(n, _check_edges(n, [tuple(e) for e in raw]))
+    return n, _check_edges(n, [tuple(e) for e in raw])
 
 
 def _graph_from_lines(text):
@@ -217,9 +224,7 @@ def _graph_from_lines(text):
             line=len(lines),
             col=1,
         )
-    return SimpleGraph(
-        n, _check_edges(n, [e for e, _ in edge_lines], [w for _, w in edge_lines])
-    )
+    return n, _check_edges(n, [e for e, _ in edge_lines], [w for _, w in edge_lines])
 
 
 def monomial_to_string(vector) -> str:
@@ -233,7 +238,7 @@ def monomial_to_string(vector) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def graph_to_dict(g: SimpleGraph) -> dict:
+def graph_to_dict(g: "SimpleGraph") -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 

@@ -11,15 +11,13 @@ Every graph algorithm here runs on int vertex masks: bit v of a mask is
 set iff vertex v belongs to the set.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import PreconditionError, ResourceCapError, effective_cap
+from .errors import PreconditionError, Record, ResourceCapError, effective_cap
 from .ideals import MonomialIdeal, _fresh_ideal
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Record):
     """A finite simple graph on vertices 1..n; edges are (u, v) with u < v.
 
     Derived facts are computed on first use and kept on the instance:
@@ -121,8 +119,7 @@ class SimpleGraph:
         return matroids._build_matroidal_ideal(self)
 
 
-@dataclass(frozen=True)
-class GraphVerdict:
+class GraphVerdict(Record):
     """Classification outcome with a machine-readable reason trail.
 
     reason is one of:

@@ -7,9 +7,7 @@ minimal generating set, optionally carrying a quasi-equigeneration witness
 every generator c.
 """
 
-from dataclasses import dataclass
-
-from .errors import PreconditionError
+from .errors import PreconditionError, Record
 from .lattice import PointSet, _fresh, dilate
 from .linalg import positive_nullspace_vector
 
@@ -21,8 +19,7 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A proper nonzero monomial ideal, stored as its minimal generators."""
 
     ambient_dim: int

@@ -9,18 +9,16 @@ collisions under addition are the signal everything else is built on.
 No floating point is used anywhere.
 """
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import comb
 
-from .errors import ResourceCapError, effective_cap
+from .errors import Record, ResourceCapError, effective_cap
 from .linalg import integer_rank
 
 ExponentVector = tuple  # tuple[int, ...], coordinates >= 0
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """A finite, duplicate-free set of lattice points in Z^ambient_dim."""
 
     ambient_dim: int

@@ -9,11 +9,10 @@ the base ring is read off the sumset series directly; its degree is at
 most e - 2, which justifies declaring trailing zeros exact.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .errors import PreconditionError, ResourceCapError, effective_cap
+from .errors import PreconditionError, Record, ResourceCapError, effective_cap
 from .fiber import h_vector, mu_series
 from .graphs import (
     SimpleGraph,
@@ -26,8 +25,7 @@ from .lattice import affine_dim
 from .linalg import integer_det
 
 
-@dataclass(frozen=True)
-class CycleMatroid:
+class CycleMatroid(Record):
     """Cycle matroid of a graph: ground set = indexed edges, bases =
     spanning forests as sorted tuples of edge indices."""
 
@@ -43,8 +41,7 @@ class CycleMatroid:
             raise ValueError("bases must all have the same size")
 
 
-@dataclass(frozen=True)
-class MatroidVerdict:
+class MatroidVerdict(Record):
     """Freiman verdict for a cycle matroid with its cross-check numbers."""
 
     freiman: bool

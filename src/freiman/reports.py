@@ -7,25 +7,10 @@ rendering is for humans only.
 """
 
 import time
-from dataclasses import asdict
 
 from .fiber import check_growth_identities, fiber_profile, is_freiman
 from .formats import graph_to_dict, monomial_to_string
-from .graphs import (
-    SimpleGraph,
-    classify_freiman_graph,
-    components,
-    cyclomatic_number,
-    edge_ideal,
-    is_bipartite,
-)
 from .ideals import MonomialIdeal, with_witness
-from .matroids import (
-    base_ring_h_polynomial,
-    classify_freiman_matroid,
-    cycle_matroid,
-    matroidal_ideal,
-)
 
 
 def profile_to_dict(profile) -> dict:
@@ -70,14 +55,23 @@ def ideal_report(ideal: MonomialIdeal, max_power: int, cap=None, no_timing=False
             "h_vector": list(growth.h),
             "h_known_up_to": max_power,
         },
-        "growth": [asdict(row) for row in growth.rows],
+        "growth": [
+            {"k": row.k, "mu_k": row.mu_k, "lower_bound": row.lower_bound,
+             "equality": row.equality, "partial_sum": row.partial_sum,
+             "nonnegative": row.nonnegative}
+            for row in growth.rows
+        ],
     }
     return _finish(report, started, no_timing)
 
 
-def graph_report(g: SimpleGraph, cap=None, no_timing=False) -> dict:
+def graph_report(g: "SimpleGraph", cap=None, no_timing=False) -> dict:
     """Combinatorial classification of a graph next to the numeric oracle
     on its edge ideal, with their agreement made explicit."""
+    from .graphs import (
+        classify_freiman_graph, components, cyclomatic_number, edge_ideal, is_bipartite,
+    )
+
     started = time.perf_counter()
     verdict = classify_freiman_graph(g, cap=cap)
     report = {
@@ -101,9 +95,13 @@ def graph_report(g: SimpleGraph, cap=None, no_timing=False) -> dict:
     return _finish(report, started, no_timing)
 
 
-def matroid_report(g: SimpleGraph, with_hvector=False, cap=None, no_timing=False) -> dict:
+def matroid_report(g: "SimpleGraph", with_hvector=False, cap=None, no_timing=False) -> dict:
     """Cycle-matroid classification with spread cross-checks; optionally
     the full base-ring h-polynomial and regularity."""
+    from .matroids import (
+        base_ring_h_polynomial, classify_freiman_matroid, cycle_matroid, matroidal_ideal,
+    )
+
     started = time.perf_counter()
     verdict = classify_freiman_matroid(g, cap=cap)
     report = {

@@ -1,9 +1,15 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freiman.cli import _resolve_jobs, main
 from helpers import cli_env
@@ -323,3 +329,111 @@ def test_counterexample_dump(tmp_path):
     dumped = list(tmp_path.glob("counterexample-*.json"))
     assert len(dumped) == 1
     assert json.loads(dumped[0].read_text()) == {"n": 2, "edges": [[1, 2]]}
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "c4.json", C4_JSON)
+    for args, message in (
+        (["graph", "classify", path, "--cap", "1.5"], "argument --cap: invalid int"),
+        (["ideal", "analyze", path, "--max-power", "x"], "argument --max-power"),
+        (["frobnicate"], "argument topic: invalid choice: 'frobnicate'"),
+        (["graph", "classify", path, "--bogus"], "unrecognized arguments: --bogus"),
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1, args
+        assert out == ""
+        assert err.startswith("usage: freiman")
+        assert f"error: {message}" in err
+
+
+def test_usage_error_process_exit_status(tmp_path):
+    path = write(tmp_path, "c4.json", C4_JSON)
+    proc = subprocess.run(
+        [sys.executable, "-m", "freiman.cli", "graph", "classify", path, "--cap", "1.5"],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "classify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: freiman graph classify")
+
+
+DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5}
+GRAPH_TEXT = st.one_of(
+    st.builds(
+        lambda n, edges: json.dumps({"n": n, "edges": edges}),
+        st.integers(-1, 7),
+        st.lists(st.lists(st.integers(-1, 8), max_size=3), max_size=12),
+    ),
+    st.builds(
+        lambda n, edges: "\n".join([f"p {n} {len(edges)}", *(f"{u} {v}" for u, v in edges)]),
+        st.integers(0, 7),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=12),
+    ),
+)
+IDEAL_TEXT = st.one_of(
+    st.builds(
+        ", ".join,
+        st.lists(
+            st.builds(
+                "*".join,
+                st.lists(st.sampled_from(["x1", "x2", "x3^2", "x4", "x0", "x2^0"]),
+                         min_size=1, max_size=3),
+            ),
+            max_size=6,
+        ),
+    ),
+    st.builds(json.dumps, st.lists(st.lists(st.integers(-1, 3), max_size=4), max_size=6)),
+)
+COMMANDS = st.sampled_from([
+    ["graph", "classify", "{file}"],
+    ["matroid", "classify", "{file}"],
+    ["matroid", "classify", "--hvector", "{file}"],
+    ["ideal", "analyze", "{file}"],
+    ["verify", "--jobs", "1", "--max-vertices", "3"],
+    ["verify", "--jobs", "1", "--max-vertices", "4", "--mode", "random"],
+    ["verify", "--jobs", "1", "--max-vertices", "1"],
+    [],
+])
+TOKENS = st.lists(
+    st.sampled_from([
+        "--no-timing", "--format", "json", "table", "xml", "--cap", "1", "40",
+        "1.5", "-3", "0", "--hvector", "--max-power", "2", "3", "x", "--count",
+        "--seed", "--mode", "exhaustive", "-h", "--bogus", "extra",
+    ]) | st.text(max_size=6),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=COMMANDS,
+    tokens=TOKENS,
+    content=st.one_of(st.text(max_size=40), GRAPH_TEXT, IDEAL_TEXT),
+)
+def test_every_outcome_is_a_documented_exit_code(tmp_path_factory, command, tokens, content):
+    workdir = tmp_path_factory.mktemp("totality")
+    path = workdir / "input.txt"
+    path.write_text(content)
+    argv = [str(path) if arg == "{file}" else arg for arg in command]
+    if argv[:1] == ["verify"]:
+        argv += ["--dump-dir", str(workdir)]
+    # the last --cap wins, so every run stays small
+    argv += [*tokens, "--cap", "2000"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+            assert code == 0 and ("-h" in argv or "--help" in argv), argv
+    assert code in DOCUMENTED_EXITS, argv
+    assert "Traceback" not in err.getvalue()
+    if code in (1, 2, 3, 5):
+        assert out.getvalue() == "" and err.getvalue().count("error: ") == 1, argv

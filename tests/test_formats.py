@@ -1,7 +1,11 @@
 """Input grammars: monomial lists, exponent-vector JSON, graph JSON, and
 the line-based edge-list format."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freiman import parse_graph, parse_ideal
 from freiman.errors import ParseError
@@ -132,3 +136,54 @@ def test_json_booleans_are_not_integers():
     ):
         with pytest.raises(ParseError):
             parse_graph(text)
+
+
+def test_only_ascii_digits_are_numbers():
+    # str.isdigit accepts these, but int() refuses "²" and reads "١" as 1
+    for text in ("x²", "x1^²", "x١", "x1*x٢"):
+        with pytest.raises(ParseError, match="expected"):
+            parse_ideal(text)
+
+
+def test_overlong_numbers_are_parse_errors():
+    # int() refuses strings of more than 4300 digits
+    for text in ("x" + "1" * 5000, "x1^" + "9" * 5000):
+        with pytest.raises(ParseError, match="too long"):
+            parse_ideal(text)
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_ideal(deep)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_graph('{"n": 3, "edges": ' + deep + "}")
+
+
+SMALL_INTS = st.integers(-1, 6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.integers() | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=30,
+)
+INT_ROWS = st.lists(st.lists(SMALL_INTS, max_size=4), max_size=6)
+GRAPH_OBJECTS = st.fixed_dictionaries(
+    {"n": JSON_VALUES, "edges": JSON_VALUES | INT_ROWS}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=40),
+        st.builds(json.dumps, JSON_VALUES | INT_ROWS | GRAPH_OBJECTS),
+    )
+)
+def test_parsers_return_or_raise_parse_error(text):
+    for parse in (parse_ideal, parse_graph):
+        try:
+            parse(text)
+        except ParseError:
+            pass

@@ -11,7 +11,13 @@ from helpers import cli_env
 
 C4_JSON = '{"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}'
 EQUIGENERATED = "x1*x2, x2*x3, x3*x4, x4*x1"
-HEAVY = ("multiprocessing", "fractions", "freiman.verify")
+# modules a command should load only if it runs them; dataclasses and
+# inspect none should load
+HEAVY = (
+    "dataclasses", "inspect", "multiprocessing", "fractions",
+    "freiman.graphs", "freiman.matroids", "freiman.verify",
+)
+GRAPH_AND_MATROID = ["freiman.graphs", "freiman.matroids"]
 
 
 def fresh_python(code, cwd):
@@ -36,11 +42,15 @@ def test_import_loads_no_submodule(tmp_path):
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        pytest.param(["graph", "classify", "c4.json"], [], id="graph"),
-        pytest.param(["matroid", "classify", "--hvector", "c4.json"], [], id="matroid"),
+        pytest.param(["graph", "classify", "c4.json"], ["freiman.graphs"], id="graph"),
+        pytest.param(
+            ["matroid", "classify", "--hvector", "c4.json"], GRAPH_AND_MATROID,
+            id="matroid",
+        ),
         pytest.param(["ideal", "analyze", "ideal.txt"], [], id="ideal"),
         pytest.param(
-            ["verify", "--max-vertices", "3", "--jobs", "1"], ["freiman.verify"],
+            ["verify", "--max-vertices", "3", "--jobs", "1"],
+            [*GRAPH_AND_MATROID, "freiman.verify"],
             id="verify-jobs-1",
         ),
     ],
