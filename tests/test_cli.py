@@ -365,6 +365,10 @@ def test_help_still_exits_0(capsys):
 
 
 DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5}
+# Vertex counts and variable indices stay small: the memory of the graph
+# facts grows faster than n, and ideal exponent vectors are as long as the
+# largest index, so a huge "n" or "x999999999" runs out of memory rather
+# than into the cap.
 GRAPH_TEXT = st.one_of(
     st.builds(
         lambda n, edges: json.dumps({"n": n, "edges": edges}),
