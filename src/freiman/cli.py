@@ -18,9 +18,10 @@ graph nor the matroid module, and `graph classify` not the matroid module.
 import argparse
 import os
 import sys
+from math import comb
 from pathlib import Path
 
-from .errors import ParseError, PreconditionError, ResourceCapError
+from .errors import ParseError, PreconditionError, ResourceCapError, effective_cap
 from .formats import dump_json, parse_graph, parse_ideal
 from .reports import graph_report, ideal_report, matroid_report, render_table
 
@@ -142,6 +143,16 @@ def _read_file(path):
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
 
 
+def _read_graph(path, cap):
+    """The graph in the file at path.  The memory of its facts grows with
+    its C(n, 2) vertex pairs, so more than 8 * cap of them are refused."""
+    g = parse_graph(_read_file(path))
+    pairs, cap = comb(g.n, 2), effective_cap(cap)
+    if pairs > 8 * cap:
+        raise ResourceCapError(f"{pairs} vertex pairs on {g.n} vertices", cap)
+    return g
+
+
 def _emit(report, fmt):
     text = dump_json(report) if fmt == "json" else render_table(report)
     sys.stdout.write(text)
@@ -157,10 +168,10 @@ def _dispatch(args):
             ideal, args.max_power, cap=cap, no_timing=args.no_timing
         )
     elif args.topic == "graph":
-        g = parse_graph(_read_file(args.file))
+        g = _read_graph(args.file, cap)
         report = graph_report(g, cap=cap, no_timing=args.no_timing)
     elif args.topic == "matroid":
-        g = parse_graph(_read_file(args.file))
+        g = _read_graph(args.file, cap)
         report = matroid_report(
             g, with_hvector=args.hvector, cap=cap, no_timing=args.no_timing
         )

@@ -5,15 +5,21 @@ Every named row below is an identity or bound that must hold on every
 instance; the summary is a pass/fail matrix.  Instances that trip a
 resource guard are counted as skipped for that row, never as passes.
 Aggregation is order-independent, so chunks may be verified in parallel.
+
+The graph oracle is the edge ideal's own doubling and rank, grown one
+edge at a time: the exhaustive sweep walks each aligned block of edge
+masks depth first and carries that state from parent to child, and random
+mode builds it edge by edge.
 """
 
 import os
 import random
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb
 
-from .errors import PreconditionError, ResourceCapError
-from .fiber import h_vector, is_freiman, mu_from_h, mu_series
+from .errors import PreconditionError, ResourceCapError, effective_cap
+from .fiber import fiber_profile, h_vector, is_freiman, mu_from_h, mu_series
 from .formats import graph_to_dict
 from .graphs import (
     SimpleGraph,
@@ -24,7 +30,8 @@ from .graphs import (
     edge_ideal,
     is_polynomial_edge_ring,
 )
-from .lattice import generalized_lower_bound
+from .lattice import _shifts, generalized_lower_bound
+from .linalg import integer_rank
 from .matroids import (
     base_ring_regularity,
     classify_freiman_matroid,
@@ -93,13 +100,44 @@ class _Tally:
                 self.counterexamples.append((name, gdict))
 
 
-def _check_graph_instance(g, tally, cap, deep):
-    """All graph-side rows on one graph with at least one edge."""
-    verdict = classify_freiman_graph(g, cap=cap)
-    # the oracle: the edge ideal's own sumset, no classifier fact
-    ideal = edge_ideal(g)
-    profile = is_freiman(ideal, cap=cap)
+# The oracle state of an edge ideal: its packed edge vectors A (in the
+# 2-bit fields of lattice._shifts, wide enough for the doubling), the
+# doubling 2A, and a row basis of the 0/1 edge vectors.
+_NO_EDGES = ((), frozenset(), ())
 
+
+def _edge_step(n, u, v):
+    """The packed code and the 0/1 vector of the edge uv on vertices 1..n."""
+    shifts = _shifts(n, 2)
+    row = [0] * n
+    row[u - 1] = row[v - 1] = 1
+    return 1 << shifts[u - 1] | 1 << shifts[v - 1], row
+
+
+def _grow(state, step):
+    """The oracle state with one more edge e: e joins A, e + a joins 2A for
+    a in A and a = e, and e joins the basis if it raises the rank (at most
+    n, so a full basis stops growing)."""
+    codes, doubling, basis = state
+    code, row = step
+    codes += (code,)
+    doubling = doubling.union(map(code.__add__, codes))
+    if len(basis) < len(row) and integer_rank(basis + (row,)) > len(basis):
+        basis += (row,)
+    return codes, doubling, basis
+
+
+def _check_graph_instance(g, oracle, tally, cap, deep):
+    """All graph-side rows on one graph with at least one edge, whose
+    edge ideal has the oracle state oracle."""
+    verdict = classify_freiman_graph(g, cap=cap)
+    # the oracle: the edge ideal's own sumset and rank, no classifier fact.
+    # Every edge vector lies on x_1 + ... + x_n = 2, which misses the
+    # origin, so the rank is the analytic spread (affine dimension + 1).
+    codes, doubling, basis = oracle
+    if len(doubling) > cap:
+        raise ResourceCapError(f"sumset at power 2 exceeds {cap} points", cap)
+    profile = fiber_profile((1, len(codes), len(doubling)), len(basis))
     tally.record("graph-classifier-vs-numeric", verdict.freiman == profile.freiman, g)
     tally.record("doubling-h2-nonnegative", profile.h2 >= 0, g)
     tally.record(
@@ -127,7 +165,10 @@ def _check_graph_instance(g, tally, cap, deep):
         g,
     )
 
-    if is_polynomial_edge_ring(g):
+    polynomial = is_polynomial_edge_ring(g)
+    if polynomial or deep:
+        ideal = edge_ideal(g)
+    if polynomial:
         try:
             mu = mu_series(ideal, 3, cap=cap)
             ok = all(mu[k] == comb(m + k - 1, k) for k in (2, 3))
@@ -229,22 +270,36 @@ def _is_canonical_mask(n, mask, pairs):
 
 
 def _sweep_chunk(args):
+    """Check every connected graph whose mask lies in the aligned block
+    [lo, hi) of 2^b masks, by a depth-first walk that carries the oracle
+    state: the root folds in the block's fixed high bits, and each child
+    adds one edge bit below its parent's lowest bit, in increasing bit
+    order.  Pre-order then visits the masks in increasing order."""
     (n, lo, hi, cap, deep_max_vertices, max_edges, regularity_max_edges, up_to_iso) = args
     pairs = list(combinations(range(1, n + 1), 2))
+    steps = [_edge_step(n, u, v) for u, v in pairs]
     everyone = (1 << n + 1) - 2
+    deep = n <= deep_max_vertices
     tally = _Tally()
     graphs_seen = 0
-    for mask in range(lo, hi):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        if _component_layers(_edge_masks(n + 1, edges), everyone)[0][0] != everyone:
-            continue  # not connected
-        if up_to_iso and not _is_canonical_mask(n, mask, pairs):
-            continue
-        g = SimpleGraph(n, edges)
-        graphs_seen += 1
-        _check_graph_instance(g, tally, cap, deep=n <= deep_max_vertices)
-        if g.num_edges <= max_edges:
-            _check_matroid_instance(g, tally, cap, regularity_max_edges)
+
+    def walk(mask, below, edges, oracle):
+        nonlocal graphs_seen
+        if _component_layers(_edge_masks(n + 1, edges), everyone)[0][0] == everyone and (
+            not up_to_iso or _is_canonical_mask(n, mask, pairs)
+        ):
+            g = SimpleGraph(n, frozenset(edges))
+            graphs_seen += 1
+            _check_graph_instance(g, oracle, tally, cap, deep)
+            if g.num_edges <= max_edges:
+                _check_matroid_instance(g, tally, cap, regularity_max_edges)
+        for i in range(below):
+            walk(mask | 1 << i, i, edges + (pairs[i],), _grow(oracle, steps[i]))
+
+    # lo is aligned, so its set bits are the block's fixed high bits
+    fixed = [i for i in range(len(pairs)) if lo >> i & 1]
+    oracle = reduce(_grow, [steps[i] for i in fixed], _NO_EDGES)
+    walk(lo, (hi - lo).bit_length() - 1, tuple(pairs[i] for i in fixed), oracle)
     return tally.rows, tally.counterexamples, graphs_seen
 
 
@@ -253,7 +308,8 @@ def _random_chunk(args):
     tally = _Tally()
     for gd in graph_dicts:
         g = SimpleGraph(gd["n"], frozenset(tuple(e) for e in gd["edges"]))
-        _check_graph_instance(g, tally, cap, deep=g.n <= deep_max_vertices)
+        oracle = reduce(_grow, [_edge_step(g.n, *e) for e in g.edges], _NO_EDGES)
+        _check_graph_instance(g, oracle, tally, cap, deep=g.n <= deep_max_vertices)
         if g.num_edges <= max_edges:
             _check_matroid_instance(g, tally, cap, regularity_max_edges)
     return tally.rows, tally.counterexamples, len(graph_dicts)
@@ -318,20 +374,24 @@ def run_verify(
         raise PreconditionError(f"{mode} mode needs --max-vertices of at least 2")
     if mode == "random" and count < 1:
         raise PreconditionError("random mode needs --count of at least 1")
+    cap = effective_cap(cap)
 
     chunk_args = []
     if mode == "exhaustive":
+        # every nonempty edge mask is scanned, so bound their number first
+        masks = sum((1 << comb(n, 2)) - 1 for n in range(2, max_vertices + 1))
+        if masks > 8 * cap:
+            raise ResourceCapError(f"scanning {masks} edge masks", cap)
         for n in range(2, max_vertices + 1):
-            nbits = comb(n, 2)
-            total = 1 << nbits
+            total = 1 << comb(n, 2)
             pieces = max(1, min(jobs * 8, total // 4096)) if n >= 6 else 1
-            step = (total + pieces - 1) // pieces
-            for lo in range(1, total, step):
+            step = total >> pieces.bit_length() - 1  # a power of two
+            for lo in range(0, total, step):
                 chunk_args.append(
                     (
                         n,
                         lo,
-                        min(lo + step, total),
+                        lo + step,
                         cap,
                         deep_max_vertices,
                         max_edges,

@@ -109,6 +109,24 @@ def test_exit_code_resource_cap(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_graph_commands_cap_the_vertex_pairs(tmp_path, capsys):
+    # C(100000, 2) vertex pairs: the graph facts would take gigabytes
+    path = write(tmp_path, "huge.json", '{"n": 100000, "edges": [[1, 2]]}')
+    for command in (["graph", "classify"], ["matroid", "classify", "--hvector"]):
+        code, out, err = run_cli([*command, path], capsys)
+        assert code == 3, command
+        assert out == ""
+        assert err == (
+            "error: resource cap exceeded: 4999950000 vertex pairs on 100000 "
+            "vertices (cap 1000000)\n"
+        )
+    # 8 * cap is the bound: C(5, 2) = 10 pairs pass at cap 2 and not at cap 1
+    path = write(tmp_path, "p5.json", '{"n": 5, "edges": [[1, 2]]}')
+    assert run_cli(["graph", "classify", path, "--cap", "2"], capsys)[0] == 0
+    code, _, err = run_cli(["graph", "classify", path, "--cap", "1"], capsys)
+    assert code == 3 and "10 vertex pairs on 5 vertices" in err
+
+
 def test_cap_env_variable(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "k4.json", K4_JSON)
     monkeypatch.setenv("FREIMAN_CAP", "5")

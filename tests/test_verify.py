@@ -1,17 +1,27 @@
 """The cross-validation harness itself."""
 
+import random
+from functools import reduce
+from itertools import combinations
+
 import pytest
 
-from freiman.errors import PreconditionError
+from freiman import verify
+from freiman.cli import main
+from freiman.errors import DEFAULT_CAP, PreconditionError, ResourceCapError
+from freiman.fiber import is_freiman
+from freiman.graphs import SimpleGraph, edge_ideal
 from freiman.verify import (
     ALL_ROWS,
+    _NO_EDGES,
+    _edge_step,
+    _grow,
     _is_canonical_mask,
+    _merge_results,
+    _sweep_chunk,
     random_graph,
     run_verify,
 )
-import random
-
-from itertools import combinations
 
 
 def test_exhaustive_small_sweep_passes():
@@ -83,3 +93,160 @@ def test_runs_that_would_check_no_graph_are_refused():
         run_verify(mode="exhaustive", max_vertices=1, jobs=1, no_timing=True)
     with pytest.raises(PreconditionError, match="count"):
         run_verify(mode="random", count=0, jobs=1, no_timing=True)
+
+
+def _chunk(n, lo, hi, cap=DEFAULT_CAP):
+    return (n, lo, hi, cap, 5, 6, 7, False)
+
+
+def _numbers(profile):
+    return profile.mu_series[1], profile.mu_series[2], profile.ell
+
+
+def _oracle_numbers(oracle):
+    """(mu(I), mu(I^2), ell) held by a walk's oracle state."""
+    codes, doubling, basis = oracle
+    return len(codes), len(doubling), len(basis)
+
+
+def test_walk_oracle_matches_is_freiman_on_small_graphs(monkeypatch):
+    seen = []
+
+    def record(g, oracle, tally, cap, deep):
+        seen.append((g, _oracle_numbers(oracle)))
+
+    monkeypatch.setattr(verify, "_check_graph_instance", record)
+    monkeypatch.setattr(verify, "_check_matroid_instance", lambda *args: None)
+    for n in range(2, 6):
+        start = len(seen)
+        _sweep_chunk(_chunk(n, 0, 1 << n * (n - 1) // 2))
+        # pre-order visits the masks in increasing order
+        bit = {e: i for i, e in enumerate(combinations(range(1, n + 1), 2))}
+        masks = [sum(1 << bit[e] for e in g.edges) for g, _ in seen[start:]]
+        assert masks == sorted(masks)
+    # 1 + 4 + 38 + 728 connected labeled graphs on 2..5 vertices
+    assert len(seen) == 771
+    for g, numbers in seen:
+        assert numbers == _numbers(is_freiman(edge_ideal(g))), g
+
+
+def test_chunk_root_oracle_matches_is_freiman_at_n6(monkeypatch):
+    n = 6
+    pairs = list(combinations(range(1, n + 1), 2))
+    chunks = [args for args in _exhaustive_chunks(monkeypatch, n) if args[1]]
+    assert len(chunks) == 7  # eight aligned blocks; the first root is edgeless
+    for _, lo, _, *_ in chunks:
+        bits = [i for i in range(len(pairs)) if lo >> i & 1]
+        g = SimpleGraph(n, frozenset(pairs[i] for i in bits))
+        oracle = reduce(_grow, [_edge_step(n, *pairs[i]) for i in bits], _NO_EDGES)
+        assert _oracle_numbers(oracle) == _numbers(
+            is_freiman(edge_ideal(g))
+        ), lo
+
+
+def _exhaustive_chunks(monkeypatch, n, jobs=1):
+    """The chunk arguments run_verify builds for n vertices, read off a
+    stubbed sweep."""
+    chunks = []
+
+    def stub(args):
+        chunks.append(args)
+        return {name: [0, 0, 0] for name in ALL_ROWS}, [], 0
+
+    monkeypatch.setattr(verify, "_sweep_chunk", stub)
+    monkeypatch.setattr(verify, "_run_chunks", lambda worker, args, jobs: list(map(worker, args)))
+    run_verify(max_vertices=n, jobs=jobs, no_timing=True)
+    return [args for args in chunks if args[0] == n]
+
+
+def test_exhaustive_chunks_are_aligned_power_of_two_blocks(monkeypatch):
+    for n, jobs in ((5, 1), (6, 1), (7, 1), (7, 2), (7, 3)):
+        chunks = _exhaustive_chunks(monkeypatch, n, jobs)
+        total = 1 << n * (n - 1) // 2
+        assert chunks[0][1] == 0 and chunks[-1][2] == total
+        for (_, lo, hi, *_), (_, nxt, _, *_) in zip(chunks, chunks[1:] + [(0, total, 0)]):
+            size = hi - lo
+            assert size & size - 1 == 0 and lo % size == 0 and hi == nxt
+
+
+def test_split_aligned_blocks_sum_to_one_block():
+    whole = _merge_results([_sweep_chunk(_chunk(5, 0, 1024))])
+    for bounds in ([0, 256, 512, 768, 1024], [0, 512, 768, 896, 960, 1024]):
+        parts = _merge_results(
+            [_sweep_chunk(_chunk(5, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        )
+        assert parts[0].rows == whole[0].rows
+        assert parts[0].counterexamples == whole[0].counterexamples
+        assert parts[1] == whole[1] == 728
+
+
+# recorded at the commit before the walk, where the oracle was
+# is_freiman(edge_ideal(g)) on each graph
+SUMSET_CAP_MESSAGE = "resource cap exceeded: sumset at power 2 exceeds {} points (cap {})"
+
+
+def test_small_caps_raise_as_before():
+    for cap, lo, hi in ((20, 0, 1024), (40, 512, 1024), (40, 768, 1024)):
+        with pytest.raises(ResourceCapError) as exc:
+            _sweep_chunk(_chunk(5, lo, hi, cap))
+        assert str(exc.value) == SUMSET_CAP_MESSAGE.format(cap, cap)
+        assert exc.value.cap == cap
+    assert _sweep_chunk(_chunk(5, 0, 512, 40))[2] == 314
+    with pytest.raises(ResourceCapError) as exc:
+        run_verify(max_vertices=4, cap=15, jobs=1, no_timing=True)
+    assert str(exc.value) == SUMSET_CAP_MESSAGE.format(15, 15)
+    report = run_verify(max_vertices=4, cap=19, jobs=1, no_timing=True)
+    assert report["graphs_checked"] == 43
+    assert [row["skipped"] for row in report["rows"]] == [
+        0, 0, 0, 0, 0, 0, 12, 22, 22, 22, 22, 7, 7, 7, 10, 7,
+    ]
+
+
+def test_mask_count_is_capped_before_the_sweep(monkeypatch):
+    def no_sweep(args):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(verify, "_sweep_chunk", no_sweep)
+    with pytest.raises(ResourceCapError, match="edge masks"):
+        run_verify(max_vertices=12, jobs=1, no_timing=True)
+    assert main(["verify", "--max-vertices", "12", "--jobs", "1"]) == 3
+    # criterion 5: 2,131,012 masks on 2..7 vertices, under 8 * 10^6
+    with pytest.raises(ResourceCapError) as exc:
+        run_verify(max_vertices=7, cap=266_376, jobs=1, no_timing=True)
+    assert exc.value.what == "scanning 2131012 edge masks"
+    monkeypatch.setattr(
+        verify,
+        "_sweep_chunk",
+        lambda args: ({name: [0, 0, 0] for name in ALL_ROWS}, [], 0),
+    )
+    assert run_verify(max_vertices=7, cap=266_377, jobs=1, no_timing=True)["all_passed"]
+    assert run_verify(max_vertices=7, jobs=1, no_timing=True)["all_passed"]
+
+
+def test_canonical_masks_match_networkx_isomorphism_classes():
+    nx = pytest.importorskip("networkx")
+    for n in range(2, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+
+        def graph(mask):
+            g = nx.Graph()
+            g.add_nodes_from(range(1, n + 1))
+            g.add_edges_from(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
+            return g
+
+        def invariant(g):
+            return g.number_of_edges(), sorted(d for _, d in g.degree())
+
+        canonical = {}
+        for mask in range(1 << len(pairs)):
+            if _is_canonical_mask(n, mask, pairs):
+                g = graph(mask)
+                canonical.setdefault(repr(invariant(g)), []).append(g)
+        for mask in range(1 << len(pairs)):
+            g = graph(mask)
+            matches = [
+                c
+                for c in canonical.get(repr(invariant(g)), [])
+                if nx.is_isomorphic(g, c)
+            ]
+            assert len(matches) == 1, (n, mask)
