@@ -161,7 +161,7 @@ def _emit(report, fmt):
 def _dispatch(args):
     cap = _resolve_cap(args)
     if args.topic == "ideal":
-        ideal = parse_ideal(_read_file(args.file))
+        ideal = parse_ideal(_read_file(args.file), cap)
         if args.max_power < 2:
             raise PreconditionError("--max-power must be at least 2")
         report = ideal_report(

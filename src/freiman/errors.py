@@ -1,5 +1,5 @@
 """Shared exception types, the default resource guard, and the base of
-the package's immutable record classes."""
+the package's immutable record classes with their lazily computed facts."""
 
 from operator import attrgetter
 
@@ -47,7 +47,8 @@ class Record:
     as annotations, in constructor order, defaults last; it gets a plain
     __init__ that stores them and calls __post_init__ if there is one.
     Records compare and hash by their field tuple within one class, refuse
-    assignment, and keep a __dict__ for functools.cached_property."""
+    assignment, and keep a __dict__ that holds the values of their lazy
+    attributes."""
 
     __slots__ = ()
 
@@ -82,3 +83,17 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class lazy:
+    """A fact computed on first access and stored in the instance __dict__,
+    where later lookups find it first: a cached_property without a lock."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value

@@ -84,14 +84,19 @@ def is_freiman(ideal: MonomialIdeal, cap=None) -> FiberProfile:
 
 def fiber_profile(mu: list, ell: int) -> FiberProfile:
     """The Freiman verdict read off the prefix (1, mu(I), mu(I^2)) of a
-    generator-count series at analytic spread ell."""
-    series = list(mu[:3])
-    bound2 = generalized_lower_bound(series[1], ell, 2)
-    h2 = series[2] - bound2
+    generator-count series at analytic spread ell.  The h-prefix is
+    (1, mu - ell, h2), h_vector's sums on three entries."""
+    if ell < 1:
+        raise ValueError("analytic spread must be >= 1")
+    if not mu or mu[0] != 1:
+        raise ValueError("a generator-count series must start with mu(I^0) = 1")
+    _, m, doubled = mu[:3]
+    bound2 = ell * m - comb(ell, 2)
+    h2 = doubled - bound2
     return FiberProfile(
         ell=ell,
-        mu_series=tuple(series),
-        h_partial=tuple(h_vector(series, ell)),
+        mu_series=(1, m, doubled),
+        h_partial=(1, m - ell, h2),
         freiman=h2 == 0,
         bound2=bound2,
         h2=h2,

@@ -8,7 +8,7 @@ header followed by ``u v`` edge lines.  Parse errors carry positions.
 
 import json
 
-from .errors import ParseError
+from .errors import ParseError, ResourceCapError, effective_cap
 from .ideals import MonomialIdeal
 from .lattice import PointSet
 
@@ -68,10 +68,11 @@ def _parse_monomial(text, line, col0):
         pos += 1
 
 
-def parse_ideal(text: str) -> MonomialIdeal:
+def parse_ideal(text: str, cap=None) -> MonomialIdeal:
     """Parse an ideal in either supported form.  The ambient dimension is
     the largest variable index (string form) or the vector length (JSON
-    form).  Non-minimal generator lists are rejected."""
+    form).  Non-minimal generator lists are rejected.  The string form
+    refuses more than 8 * cap dense vector entries before building any."""
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty input", line=1, col=1)
@@ -96,6 +97,9 @@ def parse_ideal(text: str) -> MonomialIdeal:
         raise ParseError("no generators found", line=1, col=1)
     parsed = [_parse_monomial(body, line, col) for body, line, col in items]
     dim = max(max(e) for e in parsed)
+    entries, cap = len(parsed) * dim, effective_cap(cap)
+    if entries > 8 * cap:
+        raise ResourceCapError(f"{entries} exponent entries in {dim} variables", cap)
     vectors = [
         tuple(e.get(i, 0) for i in range(1, dim + 1)) for e in parsed
     ]

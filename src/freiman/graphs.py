@@ -11,9 +11,7 @@ Every graph algorithm here runs on int vertex masks: bit v of a mask is
 set iff vertex v belongs to the set.
 """
 
-from functools import cached_property
-
-from .errors import PreconditionError, Record, ResourceCapError, effective_cap
+from .errors import PreconditionError, Record, ResourceCapError, effective_cap, lazy
 from .ideals import MonomialIdeal, _fresh_ideal
 
 
@@ -76,47 +74,55 @@ class SimpleGraph(Record):
     def sorted_edges(self):
         return sorted(self.edges)
 
-    @cached_property
+    @lazy
     def adjacency(self):
         return _adjacency(self)
 
-    @cached_property
+    @lazy
     def component_colorings(self):
         return _component_layers(self.adjacency, (1 << self.n + 1) - 2)
 
-    @cached_property
+    @lazy
     def component_vertex_sets(self):
         return tuple(_vertices(mask) for mask, _ in self.component_colorings)
 
-    @cached_property
+    @lazy
     def four_cycle_adjacency(self):
         return _four_cycle_union_edges(self.adjacency)
 
-    @cached_property
+    @lazy
     def four_cycle_union(self):
         return frozenset(_mask_edges(self.four_cycle_adjacency))
 
-    @cached_property
+    @lazy
     def cut_structure(self):
         return _lowpoint_dfs(self.adjacency)
 
-    @cached_property
+    @lazy
     def forest_count(self):
         from . import matroids
 
         return matroids.matrix_tree_count(self)
 
-    @cached_property
+    @lazy
     def _forests(self):
         from . import matroids
 
         return matroids._enumerate_forests(self)
 
-    @cached_property
+    @lazy
     def _matroidal_ideal(self):
         from . import matroids
 
         return matroids._build_matroidal_ideal(self)
+
+
+def _fresh_graph(n, edges, **facts):
+    # internal constructor for generated vertex pairs, with facts the
+    # caller already holds; skips validation
+    g = object.__new__(SimpleGraph)
+    g.__dict__.update(n=n, edges=edges, **facts)
+    return g
 
 
 class GraphVerdict(Record):

@@ -127,6 +127,24 @@ def test_graph_commands_cap_the_vertex_pairs(tmp_path, capsys):
     assert code == 3 and "10 vertex pairs on 5 vertices" in err
 
 
+def test_ideal_analyze_caps_the_dense_exponent_entries(tmp_path, capsys):
+    # 2 generators x 16 variables = 32 = 8 * 4 entries pass at cap 4
+    path = write(tmp_path, "x16.txt", "x1, x16")
+    args = ["ideal", "analyze", "--max-power", "2", "--no-timing", "--cap", "4"]
+    assert run_cli([*args, path], capsys)[0] == 0
+    path = write(tmp_path, "x17.txt", "x1, x17")
+    code, out, err = run_cli([*args, path], capsys)
+    assert code == 3 and out == ""
+    assert err == (
+        "error: resource cap exceeded: 34 exponent entries for 2 generators "
+        "in 17 variables (cap 4)\n"
+    )
+    # a nine-digit index no longer builds gigabytes of vectors
+    path = write(tmp_path, "huge.txt", "x1, x999999999")
+    code, _, err = run_cli(["ideal", "analyze", path], capsys)
+    assert code == 3 and "in 999999999 variables (cap 1000000)" in err
+
+
 def test_cap_env_variable(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "k4.json", K4_JSON)
     monkeypatch.setenv("FREIMAN_CAP", "5")
@@ -383,10 +401,8 @@ def test_help_still_exits_0(capsys):
 
 
 DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5}
-# Vertex counts and variable indices stay small: the memory of the graph
-# facts grows faster than n, and ideal exponent vectors are as long as the
-# largest index, so a huge "n" or "x999999999" runs out of memory rather
-# than into the cap.
+# Variable indices may be huge: the dense exponent entries are capped
+# before any vector is built.  Vertex counts stay small to keep runs fast.
 GRAPH_TEXT = st.one_of(
     st.builds(
         lambda n, edges: json.dumps({"n": n, "edges": edges}),
@@ -405,7 +421,8 @@ IDEAL_TEXT = st.one_of(
         st.lists(
             st.builds(
                 "*".join,
-                st.lists(st.sampled_from(["x1", "x2", "x3^2", "x4", "x0", "x2^0"]),
+                st.lists(st.sampled_from(["x1", "x2", "x3^2", "x4", "x0", "x2^0",
+                                          "x3000", "x2000000", "x999999999"]),
                          min_size=1, max_size=3),
             ),
             max_size=6,

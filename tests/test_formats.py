@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freiman import parse_graph, parse_ideal
-from freiman.errors import ParseError
+from freiman.errors import ParseError, ResourceCapError
 from freiman.formats import dump_json, graph_to_dict, monomial_to_string
 
 
@@ -160,6 +160,20 @@ def test_deeply_nested_json_is_a_parse_error():
         parse_graph('{"n": 3, "edges": ' + deep + "}")
 
 
+def test_dense_exponent_entries_are_capped():
+    # generators x largest index: 2 * 16 = 32 = 8 * 4 entries pass at cap 4
+    assert parse_ideal("x1, x16", cap=4).ambient_dim == 16
+    with pytest.raises(ResourceCapError) as exc:
+        parse_ideal("x1, x17", cap=4)
+    assert exc.value.what == "34 exponent entries for 2 generators in 17 variables"
+    assert exc.value.cap == 4
+    # under the default cap a huge index is refused before any vector exists
+    with pytest.raises(ResourceCapError, match="999999999999 variables"):
+        parse_ideal("x999999999999")
+    # the JSON form is already as long as its input, so it is not capped
+    assert parse_ideal("[[1, 0, 0], [0, 0, 1]]", cap=0).ambient_dim == 3
+
+
 SMALL_INTS = st.integers(-1, 6)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | SMALL_INTS | st.integers() | st.floats()
@@ -179,11 +193,17 @@ GRAPH_OBJECTS = st.fixed_dictionaries(
     st.one_of(
         st.text(max_size=40),
         st.builds(json.dumps, JSON_VALUES | INT_ROWS | GRAPH_OBJECTS),
+        # small indices, or ones whose two dense vectors exceed 8 * cap
+        st.builds("x1, x{}".format, st.integers(1, 99) | st.integers(4 * 10**6 + 1, 10**15)),
     )
 )
 def test_parsers_return_or_raise_parse_error(text):
-    for parse in (parse_ideal, parse_graph):
+    # a text ideal may also hit the cap on its dense exponent entries
+    for parse, refusals in (
+        (parse_ideal, (ParseError, ResourceCapError)),
+        (parse_graph, ParseError),
+    ):
         try:
             parse(text)
-        except ParseError:
+        except refusals:
             pass

@@ -9,7 +9,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from freiman import SimpleGraph, enumerate_simple_cycles, is_bipartite
+from freiman import SimpleGraph, enumerate_simple_cycles, graphs, is_bipartite, matroids
+from freiman.errors import lazy
 from freiman.graphs import _edged_component_vertex_sets, _vertices
 from freiman.matroids import _cut_multiplicity, cut_vertices, matrix_tree_count
 
@@ -137,3 +138,54 @@ def test_component_colorings_match_networkx():
                 for u, v in g.edges
                 if mask >> u & 1
             ), where
+
+
+# each lazy fact and the helper that computes it
+FACT_HELPERS = {
+    "adjacency": (graphs, "_adjacency"),
+    "component_colorings": (graphs, "_component_layers"),
+    "four_cycle_adjacency": (graphs, "_four_cycle_union_edges"),
+    "cut_structure": (graphs, "_lowpoint_dfs"),
+    "forest_count": (matroids, "matrix_tree_count"),
+    "_forests": (matroids, "_enumerate_forests"),
+    "_matroidal_ideal": (matroids, "_build_matroidal_ideal"),
+}
+
+
+def test_each_fact_is_computed_once_per_instance(monkeypatch):
+    calls = {}
+    for fact, (module, helper) in FACT_HELPERS.items():
+        original = getattr(module, helper)
+
+        def counted(*args, _fact=fact, _original=original):
+            calls[_fact] = calls.get(_fact, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, helper, counted)
+    facts = [name for name, v in vars(SimpleGraph).items() if isinstance(v, lazy)]
+    bowtie = {(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)}
+    for g in (SimpleGraph(5, frozenset(bowtie)), SimpleGraph(4, frozenset({(1, 2)}))):
+        calls.clear()
+        first = {name: getattr(g, name) for name in facts}
+        again = {name: getattr(g, name) for name in facts}
+        assert all(again[name] is first[name] for name in facts)
+        assert calls == dict.fromkeys(FACT_HELPERS, 1)
+        assert {name: vars(g)[name] for name in facts} == first
+
+
+def test_lazy_facts_keep_the_record_immutable():
+    g = SimpleGraph(3, frozenset({(1, 2), (2, 3)}))
+    assert g.adjacency == (0, 0b100, 0b1010, 0b100)
+    for name, value in (("n", 4), ("edges", frozenset()), ("adjacency", ())):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g.n == 3 and g.adjacency == (0, 0b100, 0b1010, 0b100)
+
+
+def test_class_access_returns_the_descriptor():
+    descriptor = SimpleGraph.adjacency
+    assert isinstance(descriptor, lazy)
+    assert descriptor.name == "adjacency"
+    assert vars(SimpleGraph)["forest_count"] is SimpleGraph.forest_count

@@ -8,12 +8,16 @@ import pytest
 
 from freiman import verify
 from freiman.cli import main
-from freiman.errors import DEFAULT_CAP, PreconditionError, ResourceCapError
+from freiman.errors import DEFAULT_CAP, PreconditionError, ResourceCapError, lazy
 from freiman.fiber import is_freiman
 from freiman.graphs import SimpleGraph, edge_ideal
+from freiman.linalg import integer_rank
 from freiman.verify import (
     ALL_ROWS,
     _NO_EDGES,
+    _Tally,
+    _check_graph_instance,
+    _check_matroid_instance,
     _edge_step,
     _grow,
     _is_canonical_mask,
@@ -250,3 +254,127 @@ def test_canonical_masks_match_networkx_isomorphism_classes():
                 if nx.is_isomorphic(g, c)
             ]
             assert len(matches) == 1, (n, mask)
+
+
+def _walk_graphs(monkeypatch, n):
+    """The graphs the walk checks on n vertices, with the names already in
+    each one's __dict__ when it reaches the graph rows."""
+    seen = []
+
+    def record(g, oracle, tally, cap, deep):
+        seen.append((g, set(vars(g))))
+
+    monkeypatch.setattr(verify, "_check_graph_instance", record)
+    monkeypatch.setattr(verify, "_check_matroid_instance", lambda *args: None)
+    _sweep_chunk(_chunk(n, 0, 1 << n * (n - 1) // 2))
+    return seen
+
+
+FACTS = sorted(name for name, v in vars(SimpleGraph).items() if isinstance(v, lazy))
+
+
+def test_walk_graphs_equal_validated_graphs(monkeypatch):
+    assert FACTS == [
+        "_forests", "_matroidal_ideal", "adjacency", "component_colorings",
+        "component_vertex_sets", "cut_structure", "forest_count",
+        "four_cycle_adjacency", "four_cycle_union",
+    ]
+    seen = [item for n in range(2, 6) for item in _walk_graphs(monkeypatch, n)]
+    assert len(seen) == 771
+    for g, held in seen:
+        ref = SimpleGraph(g.n, frozenset(g.edges))
+        assert type(g) is SimpleGraph
+        assert held == {"n", "edges", "adjacency", "component_colorings"}
+        assert (g.n, g.edges) == (ref.n, ref.edges)
+        assert type(g.edges) is frozenset
+        assert g == ref and hash(g) == hash(ref) and repr(g) == repr(ref)
+        for name in FACTS:
+            assert getattr(g, name) == getattr(ref, name), (name, g)
+
+
+def test_echelon_basis_has_the_rank_of_the_edge_rows():
+    for n in range(2, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        steps = [_edge_step(n, u, v) for u, v in pairs]
+        for mask in range(1 << len(pairs)):
+            chosen = [steps[i] for i in range(len(pairs)) if mask >> i & 1]
+            _, _, basis = reduce(_grow, chosen, _NO_EDGES)
+            assert len(basis) == integer_rank([row for _, row in chosen]), (n, mask)
+            for k, (p, row) in enumerate(basis):
+                assert row[p] and all(row[q] == 0 for q, _ in basis[:k]), (n, mask)
+
+
+def _growth_rows(check, cap):
+    """The rows that check(tally, cap) touched, as [instances, failures,
+    skipped]."""
+    tally = _Tally()
+    check(tally, cap)
+    return {name: row for name, row in tally.rows.items() if any(row)}
+
+
+# recorded at the commit before one shared sumset chain per ideal, where
+# both growth rows recomputed their series with mu_series
+def test_growth_rows_skip_when_only_the_tripling_exceeds_the_cap():
+    # P5 has a polynomial edge ring: |A| = 4, |2A| = 10, |3A| = 20
+    p5 = SimpleGraph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5)}))
+    oracle = reduce(_grow, [_edge_step(5, *e) for e in sorted(p5.edges)], _NO_EDGES)
+
+    def graph_rows(tally, cap):
+        _check_graph_instance(p5, oracle, tally, cap, False)
+
+    for cap, growth in ((19, [0, 0, 1]), (20, [1, 0, 0])):
+        rows = _growth_rows(graph_rows, cap)
+        assert rows.pop("polynomial-growth-forward") == growth
+        assert set(rows) == set(verify.GRAPH_ROWS) - {"polynomial-growth-forward"}
+        assert all(row == [1, 0, 0] for row in rows.values())
+    with pytest.raises(ResourceCapError) as exc:
+        _growth_rows(graph_rows, 9)
+    assert str(exc.value) == SUMSET_CAP_MESSAGE.format(9, 9)
+
+    # the triangle's matroid is Freiman: 3 forests, |2A| = 6, |3A| = 10
+    k3 = SimpleGraph(3, frozenset({(1, 2), (1, 3), (2, 3)}))
+
+    def matroid_rows(tally, cap):
+        _check_matroid_instance(k3, tally, cap, 7)
+
+    rows = _growth_rows(matroid_rows, 9)
+    assert rows == {
+        "matroid-classifier-vs-numeric": [1, 0, 0],
+        "matroid-spread-formula-vs-numeric": [1, 0, 0],
+        "forest-count-matrix-tree": [1, 0, 0],
+        "matroid-polynomial-growth": [0, 0, 1],
+    }
+    assert _growth_rows(matroid_rows, 10)["matroid-polynomial-growth"] == [1, 0, 0]
+    # a doubling over the cap skips every matroid row
+    assert _growth_rows(matroid_rows, 5) == {
+        name: [0, 0, 1] for name in verify.MATROID_ROWS
+    }
+    # the diamond's matroid is not Freiman: no tripling, and the regularity
+    # row runs instead
+    diamond = SimpleGraph(4, frozenset({(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}))
+    rows = _growth_rows(
+        lambda tally, cap: _check_matroid_instance(diamond, tally, cap, 7), DEFAULT_CAP
+    )
+    assert rows == {
+        name: [1, 0, 0] for name in verify.MATROID_ROWS if name != "matroid-polynomial-growth"
+    }
+
+
+def test_sweep_growth_skips_at_small_caps():
+    # at cap 19, 3A exceeds the cap where 2A does not: 12 polynomial-growth
+    # skips against none for the other graph rows, and 10 matroid-growth
+    # skips against 7 for the other matroid rows
+    report = run_verify(max_vertices=4, cap=19, jobs=1, no_timing=True)
+    skipped = {row["name"]: row["skipped"] for row in report["rows"]}
+    assert skipped["polynomial-growth-forward"] == 12
+    assert skipped["matroid-classifier-vs-numeric"] == 7
+    assert skipped["matroid-polynomial-growth"] == 10
+    for cap, growth, rows in ((40, 0, [7, 7, 7, 7, 1, 1, 1, 1, 7]),
+                              (60, 0, [1, 1, 1, 1, 1, 1, 1, 1, 7])):
+        report = run_verify(max_vertices=4, cap=cap, jobs=1, no_timing=True)
+        skips = [row["skipped"] for row in report["rows"]]
+        assert skips[6] == growth and skips[7:] == rows, cap
+    rows, _, seen = _sweep_chunk(_chunk(5, 0, 1024, 55))
+    assert seen == 728
+    assert [rows[name][2] for name in ALL_ROWS] == [0] * 7 + [543] * 4 + [10] * 4 + [205]
+    assert rows["polynomial-growth-forward"] == [287, 0, 0]
