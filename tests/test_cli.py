@@ -135,10 +135,7 @@ def test_ideal_analyze_caps_the_dense_exponent_entries(tmp_path, capsys):
     path = write(tmp_path, "x17.txt", "x1, x17")
     code, out, err = run_cli([*args, path], capsys)
     assert code == 3 and out == ""
-    assert err == (
-        "error: resource cap exceeded: 34 exponent entries for 2 generators "
-        "in 17 variables (cap 4)\n"
-    )
+    assert err == "error: resource cap exceeded: 34 exponent entries in 17 variables (cap 4)\n"
     # a nine-digit index no longer builds gigabytes of vectors
     path = write(tmp_path, "huge.txt", "x1, x999999999")
     code, _, err = run_cli(["ideal", "analyze", path], capsys)
