@@ -11,16 +11,15 @@ fractions.
 from math import gcd, lcm
 
 
-def integer_rank(rows):
-    """Rank over Q of a matrix with integer rows, by fraction-free
-    (Bareiss-style) elimination.  `rows` is not modified."""
+def _eliminate(rows):
+    """(rank, sign, last pivot) of fraction-free (Bareiss) elimination
+    of a matrix with integer rows; sign is -1 after an odd number of row
+    swaps.  `rows` is not modified."""
     m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
     r = 0
+    sign = prev = 1
     for c in range(ncols):
         piv = None
         for i in range(r, nrows):
@@ -31,48 +30,32 @@ def integer_rank(rows):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         p = m[r][c]
+        mr = m[r]
         for i in range(r + 1, nrows):
-            f = m[i][c]
-            mi, mr = m[i], m[r]
+            mi = m[i]
+            f = mi[c]
             for j in range(c, ncols):
                 # exact by the Bareiss identity
                 mi[j] = (p * mi[j] - f * mr[j]) // prev
         prev = p
         r += 1
-        rank += 1
         if r == nrows:
             break
-    return rank
+    return r, sign, prev
+
+
+def integer_rank(rows):
+    """Rank over Q of a matrix with integer rows."""
+    return _eliminate(rows)[0]
 
 
 def integer_det(rows):
-    """Determinant of a square integer matrix, fraction-free."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = None
-        for i in range(c, n):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        p = m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c]
-            mi, mc = m[i], m[c]
-            for j in range(c, n):
-                mi[j] = (p * mi[j] - f * mc[j]) // prev
-        prev = p
-    return sign * m[n - 1][n - 1]
+    """Determinant of a square integer matrix: the signed last Bareiss
+    pivot, or 0 below full rank."""
+    rank, sign, pivot = _eliminate(rows)
+    return sign * pivot if rank == len(rows) else 0
 
 
 def nullspace_basis(rows, ncols):

@@ -9,16 +9,13 @@ the base ring is read off the sumset series directly; its degree is at
 most e - 2, which justifies declaring trailing zeros exact.
 """
 
-from itertools import combinations, product
-from math import comb
-
 from .errors import PreconditionError, Record, ResourceCapError, effective_cap
 from .fiber import h_vector, mu_series
 from .graphs import (
     SimpleGraph,
     _component_layers,
-    _edge_masks,
     _edged_component_vertex_sets,
+    _vertices,
 )
 from .ideals import MonomialIdeal, _fresh_ideal
 from .lattice import affine_dim
@@ -46,7 +43,7 @@ class MatroidVerdict(Record):
 
     freiman: bool
     total_cycles_bound: int   # e - n + s, the number of independent cycles
-    spread_formula: int       # e - c - s + 1 over edge-bearing components
+    spread_formula: int       # e - b + 1, b blocks
     spread_numeric: int       # affine-hull rank of the basis vectors + 1
     regularity: int | None = None
 
@@ -76,41 +73,53 @@ def spanning_forests(g: SimpleGraph, cap=None) -> list:
 
 
 def _check_forest_cap(g: SimpleGraph, cap):
-    """Check the cap against the matrix-tree count and against the edge
-    subsets the forest enumeration scans."""
+    """Check the cap against the matrix-tree count.  Every branch of the
+    forest search ends in a forest, so this one check bounds its work."""
     if not g.edges:
         raise PreconditionError("an edgeless graph has no spanning forests")
     cap = effective_cap(cap)
     expected = g.forest_count
     if expected > cap:
         raise ResourceCapError(f"{expected} spanning forests", cap)
-    adj = g.adjacency
-    for verts in _edged_component_vertex_sets(g):
-        m_c = sum(adj[v].bit_count() for v in verts) // 2
-        size = len(verts) - 1
-        if comb(m_c, size) > 8 * cap:
-            raise ResourceCapError(f"scanning C({m_c},{size}) edge subsets", cap)
 
 
 def _enumerate_forests(g: SimpleGraph) -> tuple:
-    """Spanning trees per component by scanning the (n_c - 1)-edge subsets
-    for connected ones, combined into forests and cross-checked against
-    the matrix-tree count.  Unbounded: spanning_forests checks the cap."""
+    """Spanning forests by a depth-first search over the sorted edges, in
+    the manner of Read and Tarjan (1975), cross-checked against the
+    matrix-tree count.  Unbounded: spanning_forests checks the cap.
+
+    Edge i is taken when its ends lie in different trees of the forest
+    so far, and left out when the kept edges without it still have as
+    many components as g.  So every branch ends in a forest, and taking
+    first yields them in lexicographic order.
+    """
     ground = g.sorted_edges()
-    per_component = []
-    for verts in _edged_component_vertex_sets(g):
-        span = sum(1 << v for v in verts)
-        comp_edges = [i for i, (u, _) in enumerate(ground) if span >> u & 1]
-        trees = []
-        for subset in combinations(comp_edges, len(verts) - 1):
-            sub = _edge_masks(g.n + 1, [ground[i] for i in subset])
-            if len(_component_layers(sub, span)) == 1:  # connected, so a tree
-                trees.append(subset)
-        per_component.append(trees)
-    forests = sorted(
-        tuple(sorted(i for part in choice for i in part))
-        for choice in product(*per_component)
-    )
+    parts = len(g.component_colorings)
+    rank = g.n - parts
+    everyone = (1 << g.n + 1) - 2
+    forests = []
+    # edge index, taken edges, per-vertex tree masks, kept neighbour masks
+    stack = [(0, (), tuple(1 << v for v in range(g.n + 1)), g.adjacency)]
+    while stack:
+        i, taken, trees, kept = stack.pop()
+        if len(taken) == rank:
+            forests.append(taken)
+            continue
+        u, w = ground[i]
+        if trees[u] >> w & 1:  # closes a cycle, so it is left out
+            stack.append((i + 1, taken, trees, kept))
+            continue
+        if rank - len(taken) < len(ground) - i:
+            without = list(kept)
+            without[u] ^= 1 << w
+            without[w] ^= 1 << u
+            if len(_component_layers(without, everyone)) == parts:
+                stack.append((i + 1, taken, trees, without))
+        merged = trees[u] | trees[w]
+        joined = list(trees)
+        for v in _vertices(merged):
+            joined[v] = merged
+        stack.append((i + 1, taken + (i,), joined, kept))
     if len(forests) != g.forest_count:
         raise ArithmeticError(
             f"forest enumeration found {len(forests)}, matrix-tree says {g.forest_count}"
@@ -154,32 +163,17 @@ def cut_vertices(g: SimpleGraph) -> frozenset:
     return g.cut_structure[0]
 
 
-def _cut_multiplicity(g: SimpleGraph) -> int:
-    """Cut vertices counted with multiplicity: each contributes one less
-    than the number of pieces its removal splits its component into,
-    which is one less than the number of blocks containing it.  Summed
-    over the block-cut tree of each component this is (number of blocks)
-    - (number of edge-bearing components)."""
-    return g.cut_structure[1] - len(_edged_component_vertex_sets(g))
-
-
 def matroid_spread_formula(g: SimpleGraph) -> int:
-    """Analytic spread of the matroidal ideal by the cut-vertex formula
-    e - c - s + 1, with s the number of edge-bearing components (isolated
-    vertices carry no ground-set elements) and c counting cut vertices
-    with multiplicity.
-
-    The multiplicity matters: the base ring splits as a Segre product
-    once per piece at every cut vertex, so a vertex whose removal leaves
-    p pieces lowers the dimension by p - 1, not by 1.  (For the star on
-    four vertices the plain count would give 2; the true spread is 1.)
-    Reduces to e - c on connected graphs with binary cut vertices and to
-    e on 2-connected graphs.
+    """Analytic spread of the matroidal ideal, e - b + 1 with b the number
+    of blocks: M(g) is the direct sum of the cycle matroids of its blocks
+    (Whitney 1932), so its base ring is their Segre product and each
+    block beyond the first lowers the dimension by one.  (For the star on
+    four vertices, three blocks, the spread is 1.)  Reduces to e on
+    2-connected graphs.
     """
     if not g.edges:
         raise PreconditionError("spread formula needs at least one edge")
-    s = len(_edged_component_vertex_sets(g))
-    return g.num_edges - _cut_multiplicity(g) - s + 1
+    return g.num_edges - g.cut_structure[1] + 1
 
 
 def is_two_connected(g: SimpleGraph) -> bool:

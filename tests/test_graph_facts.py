@@ -1,18 +1,27 @@
 """Differential tests of the graph facts SimpleGraph derives (adjacency
 masks, components and their 2-colorings, cut vertices and blocks, the
-4-cycle union, simple cycles, the matrix-tree count) against networkx and
-a brute-force 4-cycle scan, on every labeled graph with at most 5 vertices
-and on seeded random graphs with at most 8 vertices."""
+4-cycle union, simple cycles, the matrix-tree count, the spanning
+forests) against networkx and a brute-force 4-cycle scan, on every
+labeled graph with at most 5 vertices and on seeded random graphs with
+at most 8 vertices."""
 
 import random
 from itertools import combinations, permutations
 
 import pytest
 
-from freiman import SimpleGraph, enumerate_simple_cycles, graphs, is_bipartite, matroids
+from freiman import (
+    SimpleGraph,
+    enumerate_simple_cycles,
+    graphs,
+    is_bipartite,
+    matroid_spread_formula,
+    matroids,
+    spanning_forests,
+)
 from freiman.errors import lazy
 from freiman.graphs import _edged_component_vertex_sets, _vertices
-from freiman.matroids import _cut_multiplicity, cut_vertices, matrix_tree_count
+from freiman.matroids import cut_vertices, matrix_tree_count
 
 nx = pytest.importorskip("networkx")
 
@@ -67,8 +76,9 @@ def test_graph_facts_match_networkx():
         assert (is_bipartite(g) is not None) == nx.is_bipartite(G), where
         assert cut_vertices(g) == set(nx.articulation_points(G)), where
         blocks = len(list(nx.biconnected_components(G)))
-        edged = len(_edged_component_vertex_sets(g))
-        assert _cut_multiplicity(g) == blocks - edged, where
+        assert g.cut_structure[1] == blocks, where
+        if g.edges:
+            assert matroid_spread_formula(g) == g.num_edges - blocks + 1, where
         assert g.four_cycle_union == _brute_four_cycle_union(g), where
 
 
@@ -117,6 +127,21 @@ def test_matrix_tree_count_matches_networkx():
             expected *= round(nx.number_of_spanning_trees(G.subgraph(verts)))
         assert matrix_tree_count(g) == expected, (g.n, g.sorted_edges())
         assert g.forest_count == expected
+
+
+def test_spanning_forests_match_networkx():
+    # every (n - c)-subset of the edges that networkx finds acyclic
+    for g in GRAPHS:
+        if not g.edges or g.num_edges > 12:
+            continue
+        ground = g.sorted_edges()
+        size = g.n - len(g.component_vertex_sets)
+        expected = [
+            subset
+            for subset in combinations(range(len(ground)), size)
+            if nx.is_forest(nx.Graph([ground[i] for i in subset]))
+        ]
+        assert spanning_forests(g) == expected, (g.n, ground)
 
 
 def test_component_colorings_match_networkx():

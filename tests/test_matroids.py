@@ -73,20 +73,28 @@ def test_spanning_forests_cap():
 
 def test_cap_is_checked_on_every_call_after_caching():
     k5 = complete_graph(5)  # 125 trees
-    # six triangles in a chain: 3^6 = 729 trees, C(18,12) = 18,564 subsets
+    # six triangles in a chain: 3^6 = 729 trees
     chain = graph(
         13, [e for i in range(1, 13, 2) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))]
     )
-    for g, cap, message in (
-        (k5, 100, "125 spanning forests"),
-        (chain, 1000, "scanning C(18,12) edge subsets"),
-    ):
+    for g, cap, count in ((k5, 100, 125), (chain, 728, 729)):
         for _ in range(2):  # before and after the forests are cached
             with pytest.raises(ResourceCapError) as err:
                 spanning_forests(g, cap=cap)
-            assert err.value.what == message
-            forests = spanning_forests(g)
-        assert len(forests) == g.forest_count == matrix_tree_count(g)
+            assert err.value.what == f"{count} spanning forests"
+            forests = spanning_forests(g, cap=1000)
+            assert len(forests) == count == g.forest_count == matrix_tree_count(g)
+
+
+def test_deep_forest_search_needs_no_recursion(tmp_path, capsys):
+    # a perfect matching is its own only spanning forest, 1,500 edges deep
+    from freiman.cli import main
+
+    path = tmp_path / "matching.txt"
+    edges = "".join(f"{2 * i + 1} {2 * i + 2}\n" for i in range(1500))
+    path.write_text("p 3000 1500\n" + edges)
+    assert main(["matroid", "classify", str(path), "--no-timing"]) == 0
+    assert '"num_bases": 1' in capsys.readouterr().out
 
 
 def test_returned_forests_do_not_alias_the_cache():
