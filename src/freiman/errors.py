@@ -66,6 +66,15 @@ class Record:
         cls.__init__ = scope["__init__"]
         cls.__init__.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
 
+    @classmethod
+    def _trusted(cls, *values, **facts):
+        """Internal constructor for field values already known to be valid,
+        given in field order, with any lazy facts the caller already holds;
+        skips __post_init__."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values), **facts)
+        return record
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key(self) == self._key(other)

@@ -29,10 +29,8 @@ class SimpleGraph(Record):
                                 even and the odd BFS layers from the
                                 smallest member, or None if the component
                                 has an odd cycle
-      component_vertex_sets  -- the same components as sorted vertex tuples
       four_cycle_adjacency   -- neighbour masks, as in adjacency, of the
                                 union H of all 4-cycles
-      four_cycle_union       -- frozenset of the edges of H
       cut_structure          -- (frozenset of cut vertices, number of
                                 blocks), from one lowpoint DFS
       forest_count           -- number of spanning forests (matrix-tree)
@@ -83,16 +81,8 @@ class SimpleGraph(Record):
         return _component_layers(self.adjacency, (1 << self.n + 1) - 2)
 
     @lazy
-    def component_vertex_sets(self):
-        return tuple(_vertices(mask) for mask, _ in self.component_colorings)
-
-    @lazy
     def four_cycle_adjacency(self):
         return _four_cycle_union_edges(self.adjacency)
-
-    @lazy
-    def four_cycle_union(self):
-        return frozenset(_mask_edges(self.four_cycle_adjacency))
 
     @lazy
     def cut_structure(self):
@@ -115,14 +105,6 @@ class SimpleGraph(Record):
         from . import matroids
 
         return matroids._build_matroidal_ideal(self)
-
-
-def _fresh_graph(n, edges, **facts):
-    # internal constructor for generated vertex pairs, with facts the
-    # caller already holds; skips validation
-    g = object.__new__(SimpleGraph)
-    g.__dict__.update(n=n, edges=edges, **facts)
-    return g
 
 
 class GraphVerdict(Record):
@@ -208,17 +190,13 @@ def _component_layers(adj, within):
     return tuple(out)
 
 
-def _edged_component_vertex_sets(g: SimpleGraph):
-    """The components of g that carry at least one edge."""
-    return [vs for vs in g.component_vertex_sets if len(vs) > 1]
-
-
 def components(g: SimpleGraph) -> list:
     """Connected components as compact graphs (vertices relabeled 1..k in
     increasing order of their original labels), ordered by smallest
     original vertex."""
     out = []
-    for verts in g.component_vertex_sets:
+    for mask, _ in g.component_colorings:
+        verts = _vertices(mask)
         index = {v: i + 1 for i, v in enumerate(verts)}
         edges = {
             (index[u], index[v]) for u, v in g.edges if u in index and v in index
@@ -230,7 +208,7 @@ def components(g: SimpleGraph) -> list:
 def cyclomatic_number(g: SimpleGraph) -> int:
     """e - n + s: the number of independent cycles.  Isolated vertices
     shift n and s together, so they do not affect the value."""
-    return g.num_edges - g.n + len(g.component_vertex_sets)
+    return g.num_edges - g.n + len(g.component_colorings)
 
 
 def _lowpoint_dfs(adj):
@@ -324,11 +302,11 @@ def enumerate_simple_cycles(g: SimpleGraph, cap=None) -> list:
     return _simple_cycles(g.adjacency, effective_cap(cap))
 
 
-def _has_polynomial_edge_ring(adj, verts, sides):
-    """Whether the component on the vertex tuple verts with 2-coloring
+def _has_polynomial_edge_ring(adj, mask, sides):
+    """Whether the component on the vertex mask mask with 2-coloring
     sides has at most one independent cycle, and that cycle, if any, is
     odd.  A unicyclic graph is 2-colorable iff its cycle is even."""
-    cyclo = sum(adj[v].bit_count() for v in verts) // 2 - len(verts) + 1
+    cyclo = sum(adj[v].bit_count() for v in _vertices(mask)) // 2 - mask.bit_count() + 1
     return cyclo == 0 or (cyclo == 1 and sides is None)
 
 
@@ -336,8 +314,8 @@ def is_polynomial_edge_ring(g: SimpleGraph) -> bool:
     """True iff every component has at most one independent cycle and any
     such cycle is odd; equivalently, no primitive even walks exist."""
     return all(
-        _has_polynomial_edge_ring(g.adjacency, verts, sides)
-        for verts, (_, sides) in zip(g.component_vertex_sets, g.component_colorings)
+        _has_polynomial_edge_ring(g.adjacency, mask, sides)
+        for mask, sides in g.component_colorings
     )
 
 
@@ -363,7 +341,7 @@ def _four_cycle_union_edges(adj):
 def four_cycle_union_subgraph(g: SimpleGraph) -> SimpleGraph:
     """The subgraph whose edges are the edges of all 4-cycles of g (empty
     when g has no 4-cycle), on the same vertex label set."""
-    return SimpleGraph(g.n, g.four_cycle_union)
+    return SimpleGraph(g.n, frozenset(_mask_edges(g.four_cycle_adjacency)))
 
 
 def _is_complete_bipartite_2s(h_adj, h_mask):
@@ -387,7 +365,7 @@ def has_long_primitive_even_walk(g: SimpleGraph, cap=None):
     there is an even simple cycle of length >= 6, or a pair of odd cycles
     sharing at most one vertex.
     """
-    if len(g.component_vertex_sets) != 1:
+    if len(g.component_colorings) != 1:
         raise PreconditionError("primitive-walk search requires a connected graph")
     return _long_walk(g.adjacency, effective_cap(cap))
 
@@ -405,11 +383,11 @@ def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
     return _fresh_ideal(g.n, pts, ((1,) * g.n, 2))
 
 
-def _classify_connected(g, verts, mask, sides, cap, bipartite_rule=True):
-    """Classifier for the connected component of g on the vertex tuple
-    verts, with vertex mask mask and 2-coloring sides."""
+def _classify_connected(g, mask, sides, cap, bipartite_rule=True):
+    """Classifier for the connected component of g on the vertex mask
+    mask, with 2-coloring sides."""
     adj = g.adjacency
-    if _has_polynomial_edge_ring(adj, verts, sides):
+    if _has_polynomial_edge_ring(adj, mask, sides):
         return GraphVerdict(True, "no-primitive-walks")
     # every 4-cycle lies inside one component
     h_adj = _restrict(g.four_cycle_adjacency, mask)
@@ -489,30 +467,26 @@ def classify_freiman_graph(g: SimpleGraph, cap=None, _bipartite_rule=True) -> Gr
     bipartite components (used to cross-check the structural shortcut).
     """
     cap = effective_cap(cap)
-    comps = [
-        (verts, mask, sides)
-        for verts, (mask, sides) in zip(g.component_vertex_sets, g.component_colorings)
-        if len(verts) > 1
-    ]
+    comps = [(mask, sides) for mask, sides in g.component_colorings if mask & mask - 1]
     if len(comps) <= 1:
         if not comps:
             return GraphVerdict(True, "no-primitive-walks")
         return _classify_connected(g, *comps[0], cap, _bipartite_rule)
     verdicts = []
     nonpoly = []
-    for vs, mask, sides in comps:
-        v = _classify_connected(g, vs, mask, sides, cap, _bipartite_rule)
-        verdicts.append((vs, v))
+    for mask, sides in comps:
+        v = _classify_connected(g, mask, sides, cap, _bipartite_rule)
+        verdicts.append((mask, v))
         if v.reason != "no-primitive-walks":
-            nonpoly.append(vs)
-    bad = [vs for vs, v in verdicts if not v.freiman]
+            nonpoly.append(mask)
+    bad = [mask for mask, v in verdicts if not v.freiman]
     if bad or len(nonpoly) > 1:
         return GraphVerdict(
             False,
             "component-rule",
             witness={
-                "failing_components": [list(vs) for vs in bad],
-                "non_polynomial_components": [list(vs) for vs in nonpoly],
+                "failing_components": [list(_vertices(mask)) for mask in bad],
+                "non_polynomial_components": [list(_vertices(mask)) for mask in nonpoly],
             },
         )
     return GraphVerdict(True, "component-rule")

@@ -8,7 +8,7 @@ every generator c.
 """
 
 from .errors import PreconditionError, Record
-from .lattice import PointSet, _fresh, dilate
+from .lattice import PointSet, dilate
 from .linalg import positive_nullspace_vector
 
 Monomial = tuple  # exponent vector of a single monomial
@@ -64,11 +64,7 @@ class MonomialIdeal(Record):
 
 def _fresh_ideal(ambient_dim, points, witness):
     # internal constructor for generator sets already known to be minimal
-    ideal = object.__new__(MonomialIdeal)
-    object.__setattr__(ideal, "ambient_dim", ambient_dim)
-    object.__setattr__(ideal, "generators", _fresh(ambient_dim, points))
-    object.__setattr__(ideal, "witness", witness)
-    return ideal
+    return MonomialIdeal._trusted(ambient_dim, PointSet._trusted(ambient_dim, points), witness)
 
 
 def minimalize(monomials, ambient_dim=None) -> MonomialIdeal:
@@ -106,7 +102,7 @@ def power(ideal: MonomialIdeal, k: int, cap=None) -> MonomialIdeal:
     pts = dilate(ideal.generators, k, cap=cap)
     if ideal.witness is not None:
         a, d = ideal.witness
-        return _fresh_ideal(ideal.ambient_dim, pts.points, (a, k * d))
+        return MonomialIdeal._trusted(ideal.ambient_dim, pts, (a, k * d))
     return minimalize(pts.points, ideal.ambient_dim)
 
 
@@ -147,4 +143,4 @@ def with_witness(ideal: MonomialIdeal) -> MonomialIdeal:
             "ideal is not quasi-equigenerated: no strictly positive weight "
             "vector grades all generators equally"
         )
-    return _fresh_ideal(ideal.ambient_dim, ideal.generators.points, w)
+    return MonomialIdeal._trusted(ideal.ambient_dim, ideal.generators, w)

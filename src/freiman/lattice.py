@@ -56,14 +56,6 @@ class PointSet(Record):
         return sorted(self.points)
 
 
-def _fresh(ambient_dim, points):
-    # internal constructor for results of closed operations; skips validation
-    ps = object.__new__(PointSet)
-    object.__setattr__(ps, "ambient_dim", ambient_dim)
-    object.__setattr__(ps, "points", points)
-    return ps
-
-
 def _shifts(dim, top):
     """Bit offsets of coordinate fields wide enough for values up to top."""
     width = max(top.bit_length(), 1)
@@ -119,7 +111,7 @@ def sumset(x: PointSet, y: PointSet, cap=None) -> PointSet:
     shifts = _shifts(x.ambient_dim, _top(x) + _top(y))
     xs, ys = sorted((_pack(x.points, shifts), _pack(y.points, shifts)), key=len)
     out = _packed_sum(zip(xs, repeat(ys)), effective_cap(cap), "sumset")
-    return _fresh(x.ambient_dim, _unpack(out, shifts))
+    return PointSet._trusted(x.ambient_dim, _unpack(out, shifts))
 
 
 def dilate(x: PointSet, k: int, cap=None) -> PointSet:
@@ -132,7 +124,7 @@ def dilate(x: PointSet, k: int, cap=None) -> PointSet:
         return x
     for shifts, out in _dilations(x, k, cap):
         pass
-    return _fresh(x.ambient_dim, _unpack(out, shifts))
+    return PointSet._trusted(x.ambient_dim, _unpack(out, shifts))
 
 
 def affine_dim(x: PointSet) -> int:

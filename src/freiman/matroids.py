@@ -11,12 +11,7 @@ most e - 2, which justifies declaring trailing zeros exact.
 
 from .errors import PreconditionError, Record, ResourceCapError, effective_cap
 from .fiber import h_vector, mu_series
-from .graphs import (
-    SimpleGraph,
-    _component_layers,
-    _edged_component_vertex_sets,
-    _vertices,
-)
+from .graphs import SimpleGraph, _component_layers, _vertices, cyclomatic_number
 from .ideals import MonomialIdeal, _fresh_ideal
 from .lattice import affine_dim
 from .linalg import integer_det
@@ -53,7 +48,10 @@ def matrix_tree_count(g: SimpleGraph) -> int:
     Laplacian determinants.  Read it as the cached g.forest_count."""
     adj = g.adjacency
     total = 1
-    for verts in _edged_component_vertex_sets(g):
+    for mask, _ in g.component_colorings:
+        if not mask & mask - 1:
+            continue  # an isolated vertex has one spanning forest
+        verts = _vertices(mask)
         reduced = [[-(adj[v] >> w & 1) for w in verts[:-1]] for v in verts[:-1]]
         for i, v in enumerate(verts[:-1]):
             reduced[i][i] = adj[v].bit_count()
@@ -178,7 +176,7 @@ def matroid_spread_formula(g: SimpleGraph) -> int:
 
 def is_two_connected(g: SimpleGraph) -> bool:
     """Connected with no cut vertex (and at least one edge)."""
-    return len(g.component_vertex_sets) == 1 and bool(g.edges) and not cut_vertices(g)
+    return len(g.component_colorings) == 1 and bool(g.edges) and not cut_vertices(g)
 
 
 def classify_freiman_matroid(g: SimpleGraph, cap=None) -> MatroidVerdict:
@@ -186,8 +184,7 @@ def classify_freiman_matroid(g: SimpleGraph, cap=None) -> MatroidVerdict:
     cycle (e - n + s <= 1), iff its base ring is a polynomial ring.  The
     verdict carries the numeric spread cross-check; an edgeless graph is
     trivially Freiman with zeroed spread fields."""
-    s_all = len(g.component_vertex_sets)
-    bound = g.num_edges - g.n + s_all
+    bound = cyclomatic_number(g)
     if not g.edges:
         return MatroidVerdict(True, bound, 0, 0)
     ideal = matroidal_ideal(g, cap=cap)

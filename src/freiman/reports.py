@@ -68,9 +68,7 @@ def ideal_report(ideal: MonomialIdeal, max_power: int, cap=None, no_timing=False
 def graph_report(g: "SimpleGraph", cap=None, no_timing=False) -> dict:
     """Combinatorial classification of a graph next to the numeric oracle
     on its edge ideal, with their agreement made explicit."""
-    from .graphs import (
-        classify_freiman_graph, components, cyclomatic_number, edge_ideal, is_bipartite,
-    )
+    from .graphs import classify_freiman_graph, cyclomatic_number, edge_ideal, is_bipartite
 
     started = time.perf_counter()
     verdict = classify_freiman_graph(g, cap=cap)
@@ -78,7 +76,7 @@ def graph_report(g: "SimpleGraph", cap=None, no_timing=False) -> dict:
         "command": "graph-classify",
         "input": {
             **graph_to_dict(g),
-            "num_components": len(components(g)),
+            "num_components": len(g.component_colorings),
             "cyclomatic_number": cyclomatic_number(g),
             "bipartite": is_bipartite(g) is not None,
         },

@@ -27,8 +27,6 @@ from .graphs import (
     SimpleGraph,
     _component_layers,
     _edge_masks,
-    _edged_component_vertex_sets,
-    _fresh_graph,
     classify_freiman_graph,
     edge_ideal,
     is_polynomial_edge_ring,
@@ -71,6 +69,11 @@ MATROID_ROWS = [
 ALL_ROWS = GRAPH_ROWS + DEEP_ROWS + MATROID_ROWS
 
 MAX_COUNTEREXAMPLES = 3
+
+# the deep rows run on graphs with at most this many vertices, and the
+# regularity row on graphs with at most this many edges
+DEEP_MAX_VERTICES = 5
+REGULARITY_MAX_EDGES = 7
 
 
 class _Tally:
@@ -135,7 +138,7 @@ def _grow(state, step):
     return codes, doubling, basis
 
 
-def _check_graph_instance(g, oracle, tally, cap, deep):
+def _check_graph_instance(g, oracle, tally, cap):
     """All graph-side rows on one graph with at least one edge, whose
     edge ideal has the oracle state oracle."""
     verdict = classify_freiman_graph(g, cap=cap)
@@ -182,7 +185,7 @@ def _check_graph_instance(g, oracle, tally, cap, deep):
         except ResourceCapError:
             tally.skip("polynomial-growth-forward")
 
-    if deep:
+    if g.n <= DEEP_MAX_VERTICES:
         _check_deep_instance(g, edge_ideal(g), profile, tally, cap)
 
 
@@ -215,7 +218,7 @@ def _check_deep_instance(g, ideal, profile, tally, cap):
     tally.record("h-mu-roundtrip", mu_from_h(h, ell, 4) == mu, g)
 
 
-def _check_matroid_instance(g, tally, cap, regularity_max_edges):
+def _check_matroid_instance(g, tally, cap):
     """All matroid-side rows on one graph with at least one edge.  One
     dilation chain of the matroidal ideal gives 2A for the oracle and,
     for a Freiman verdict, 3A for the growth row."""
@@ -250,7 +253,7 @@ def _check_matroid_instance(g, tally, cap, regularity_max_edges):
             tally.record("matroid-polynomial-growth", ok, g)
         except ResourceCapError:
             tally.skip("matroid-polynomial-growth")
-    elif g.num_edges <= regularity_max_edges:
+    elif g.num_edges <= REGULARITY_MAX_EDGES:
         try:
             reg = base_ring_regularity(g, cap=cap)
             e = g.num_edges
@@ -258,7 +261,7 @@ def _check_matroid_instance(g, tally, cap, regularity_max_edges):
                 ok = 3 <= reg <= e - 1
             else:
                 c = len(cut_vertices(g))
-                s = len(_edged_component_vertex_sets(g))
+                s = sum(1 for mask, _ in g.component_colorings if mask & mask - 1)
                 ok = 3 <= reg <= e - c - s
             tally.record("matroid-regularity-bounds", ok, g)
         except ResourceCapError:
@@ -285,12 +288,11 @@ def _sweep_chunk(args):
     state: the root folds in the block's fixed high bits, and each child
     adds one edge bit below its parent's lowest bit, in increasing bit
     order.  Pre-order then visits the masks in increasing order."""
-    (n, lo, hi, cap, deep_max_vertices, max_edges, regularity_max_edges, up_to_iso) = args
+    (n, lo, hi, cap, max_edges, up_to_iso) = args
     pairs = list(combinations(range(1, n + 1), 2))
     steps = [_edge_step(n, u, v) for u, v in pairs]
     bits = [_edge_masks(n + 1, [p]) for p in pairs]
     everyone = (1 << n + 1) - 2
-    deep = n <= deep_max_vertices
     tally = _Tally()
     graphs_seen = 0
 
@@ -300,11 +302,13 @@ def _sweep_chunk(args):
         if comps[0][0] == everyone and (
             not up_to_iso or _is_canonical_mask(n, mask, pairs)
         ):
-            g = _fresh_graph(n, frozenset(edges), adjacency=adj, component_colorings=comps)
+            g = SimpleGraph._trusted(
+                n, frozenset(edges), adjacency=adj, component_colorings=comps
+            )
             graphs_seen += 1
-            _check_graph_instance(g, oracle, tally, cap, deep)
+            _check_graph_instance(g, oracle, tally, cap)
             if g.num_edges <= max_edges:
-                _check_matroid_instance(g, tally, cap, regularity_max_edges)
+                _check_matroid_instance(g, tally, cap)
         for i in range(below):
             child = tuple(map(int.__or__, adj, bits[i]))
             walk(mask | 1 << i, i, edges + (pairs[i],), child, _grow(oracle, steps[i]))
@@ -317,14 +321,14 @@ def _sweep_chunk(args):
 
 
 def _random_chunk(args):
-    (graph_dicts, cap, deep_max_vertices, max_edges, regularity_max_edges) = args
+    (graph_dicts, cap, max_edges) = args
     tally = _Tally()
     for gd in graph_dicts:
         g = SimpleGraph(gd["n"], frozenset(tuple(e) for e in gd["edges"]))
         oracle = reduce(_grow, [_edge_step(g.n, *e) for e in g.edges], _NO_EDGES)
-        _check_graph_instance(g, oracle, tally, cap, deep=g.n <= deep_max_vertices)
+        _check_graph_instance(g, oracle, tally, cap)
         if g.num_edges <= max_edges:
-            _check_matroid_instance(g, tally, cap, regularity_max_edges)
+            _check_matroid_instance(g, tally, cap)
     return tally.rows, tally.counterexamples, len(graph_dicts)
 
 
@@ -367,8 +371,6 @@ def run_verify(
     cap=None,
     up_to_iso=False,
     jobs=None,
-    deep_max_vertices=5,
-    regularity_max_edges=7,
     no_timing=False,
 ) -> dict:
     """Run the whole matrix and return the summary report dict."""
@@ -397,8 +399,7 @@ def run_verify(
             pieces = max(1, min(jobs * 8, total // 4096)) if n >= 6 else 1
             step = total >> pieces.bit_length() - 1  # a power of two
             chunk_args += [
-                (n, lo, lo + step, cap, deep_max_vertices, max_edges, regularity_max_edges, up_to_iso)
-                for lo in range(0, total, step)
+                (n, lo, lo + step, cap, max_edges, up_to_iso) for lo in range(0, total, step)
             ]
         results = _run_chunks(_sweep_chunk, chunk_args, jobs)
     else:
@@ -406,8 +407,7 @@ def run_verify(
         graphs = [graph_to_dict(random_graph(rng, max_vertices)) for _ in range(count)]
         step = max(1, (len(graphs) + jobs * 4 - 1) // (jobs * 4))
         chunk_args = [
-            (graphs[lo : lo + step], cap, deep_max_vertices, max_edges, regularity_max_edges)
-            for lo in range(0, len(graphs), step)
+            (graphs[lo : lo + step], cap, max_edges) for lo in range(0, len(graphs), step)
         ]
         results = _run_chunks(_random_chunk, chunk_args, jobs)
 
@@ -427,8 +427,8 @@ def run_verify(
             "count": count if mode == "random" else None,
             "seed": seed if mode == "random" else None,
             "up_to_iso": up_to_iso,
-            "deep_max_vertices": deep_max_vertices,
-            "regularity_max_edges": regularity_max_edges,
+            "deep_max_vertices": DEEP_MAX_VERTICES,
+            "regularity_max_edges": REGULARITY_MAX_EDGES,
         },
         "graphs_checked": graphs_total,
         "rows": rows,

@@ -13,6 +13,7 @@ import pytest
 from freiman import (
     SimpleGraph,
     enumerate_simple_cycles,
+    four_cycle_union_subgraph,
     graphs,
     is_bipartite,
     matroid_spread_formula,
@@ -20,7 +21,7 @@ from freiman import (
     spanning_forests,
 )
 from freiman.errors import lazy
-from freiman.graphs import _edged_component_vertex_sets, _vertices
+from freiman.graphs import _vertices
 from freiman.matroids import cut_vertices, matrix_tree_count
 
 nx = pytest.importorskip("networkx")
@@ -70,7 +71,7 @@ def test_graph_facts_match_networkx():
     for g in GRAPHS:
         G = _to_nx(g)
         where = (g.n, g.sorted_edges())
-        assert list(g.component_vertex_sets) == sorted(
+        assert [_vertices(mask) for mask, _ in g.component_colorings] == sorted(
             tuple(sorted(c)) for c in nx.connected_components(G)
         ), where
         assert (is_bipartite(g) is not None) == nx.is_bipartite(G), where
@@ -79,7 +80,7 @@ def test_graph_facts_match_networkx():
         assert g.cut_structure[1] == blocks, where
         if g.edges:
             assert matroid_spread_formula(g) == g.num_edges - blocks + 1, where
-        assert g.four_cycle_union == _brute_four_cycle_union(g), where
+        assert four_cycle_union_subgraph(g).edges == _brute_four_cycle_union(g), where
 
 
 def test_bipartition_is_a_proper_two_coloring():
@@ -90,7 +91,7 @@ def test_bipartition_is_a_proper_two_coloring():
         part_a, part_b = parts
         assert part_a | part_b == set(range(1, g.n + 1))
         assert all((u in part_a) != (v in part_a) for u, v in g.edges)
-        assert all(vs[0] in part_a for vs in g.component_vertex_sets)
+        assert all(_vertices(mask)[0] in part_a for mask, _ in g.component_colorings)
 
 
 def _canonical_cycle(cycle):
@@ -123,8 +124,9 @@ def test_matrix_tree_count_matches_networkx():
     for g in GRAPHS:
         G = _to_nx(g)
         expected = 1
-        for verts in _edged_component_vertex_sets(g):
-            expected *= round(nx.number_of_spanning_trees(G.subgraph(verts)))
+        for verts in nx.connected_components(G):
+            if len(verts) > 1:
+                expected *= round(nx.number_of_spanning_trees(G.subgraph(verts)))
         assert matrix_tree_count(g) == expected, (g.n, g.sorted_edges())
         assert g.forest_count == expected
 
@@ -135,7 +137,7 @@ def test_spanning_forests_match_networkx():
         if not g.edges or g.num_edges > 12:
             continue
         ground = g.sorted_edges()
-        size = g.n - len(g.component_vertex_sets)
+        size = g.n - nx.number_connected_components(_to_nx(g))
         expected = [
             subset
             for subset in combinations(range(len(ground)), size)
@@ -149,9 +151,9 @@ def test_component_colorings_match_networkx():
         G = _to_nx(g)
         where = (g.n, g.sorted_edges())
         colorings = g.component_colorings
-        assert len(colorings) == len(g.component_vertex_sets), where
-        for verts, (mask, sides) in zip(g.component_vertex_sets, colorings):
-            assert _vertices(mask) == verts, where
+        assert len(colorings) == nx.number_connected_components(G), where
+        for mask, sides in colorings:
+            verts = _vertices(mask)
             assert (sides is not None) == nx.is_bipartite(G.subgraph(verts)), where
             if sides is None:
                 continue

@@ -1,8 +1,10 @@
 """The lazy package namespace, and the modules each command loads."""
 
 import importlib
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +113,16 @@ def test_a_patched_definition_is_seen_through_the_package(monkeypatch):
     assert freiman.run_verify is stub
     monkeypatch.undo()
     assert freiman.run_verify is original
+
+
+def test_benchmark_span_targets_still_exist():
+    # the benchmark's tracer looks these names up at call time, so a
+    # refactor that renames one breaks a traced run
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, attr, _ in spans.TARGETS:
+        target = getattr(importlib.import_module(f"freiman.{module}"), attr, None)
+        assert callable(target), f"freiman.{module}.{attr}"

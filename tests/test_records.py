@@ -9,7 +9,7 @@ import pytest
 from freiman.fiber import FiberProfile, GrowthReport, GrowthRow
 from freiman.graphs import GraphVerdict, SimpleGraph
 from freiman.ideals import MonomialIdeal, _fresh_ideal
-from freiman.lattice import PointSet, _fresh
+from freiman.lattice import PointSet
 from freiman.matroids import CycleMatroid, MatroidVerdict
 
 POINTS = PointSet(2, frozenset({(1, 0), (0, 1)}))
@@ -114,7 +114,7 @@ def test_cached_graph_facts_live_on_the_instance():
 
 def test_internal_constructors_equal_the_validated_ones():
     pts = frozenset({(1, 0), (0, 1)})
-    fresh = _fresh(2, pts)
+    fresh = PointSet._trusted(2, pts)
     assert type(fresh) is PointSet
     assert fresh == PointSet(2, pts) and hash(fresh) == hash(PointSet(2, pts))
     assert repr(fresh) == repr(PointSet(2, pts))
@@ -127,3 +127,15 @@ def test_internal_constructors_equal_the_validated_ones():
     assert repr(ideal) == repr(MonomialIdeal(2, PointSet(2, pts), witness))
     with pytest.raises(AttributeError):
         ideal.witness = None
+
+    edges = frozenset({(1, 2), (2, 3)})
+    adjacency = (0, 0b100, 0b1010, 0b100)
+    colorings = ((0b1110, (0b1010, 0b100)),)
+    g = SimpleGraph._trusted(3, edges, adjacency=adjacency, component_colorings=colorings)
+    assert type(g) is SimpleGraph
+    assert g == PATH and hash(g) == hash(PATH) and repr(g) == repr(PATH)
+    assert vars(g) == {
+        "n": 3, "edges": edges, "adjacency": adjacency, "component_colorings": colorings,
+    }
+    assert g.adjacency is adjacency and g.component_colorings is colorings
+    assert colorings == PATH.component_colorings

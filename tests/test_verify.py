@@ -100,7 +100,7 @@ def test_runs_that_would_check_no_graph_are_refused():
 
 
 def _chunk(n, lo, hi, cap=DEFAULT_CAP):
-    return (n, lo, hi, cap, 5, 6, 7, False)
+    return (n, lo, hi, cap, 6, False)
 
 
 def _numbers(profile):
@@ -116,7 +116,7 @@ def _oracle_numbers(oracle):
 def test_walk_oracle_matches_is_freiman_on_small_graphs(monkeypatch):
     seen = []
 
-    def record(g, oracle, tally, cap, deep):
+    def record(g, oracle, tally, cap):
         seen.append((g, _oracle_numbers(oracle)))
 
     monkeypatch.setattr(verify, "_check_graph_instance", record)
@@ -261,7 +261,7 @@ def _walk_graphs(monkeypatch, n):
     each one's __dict__ when it reaches the graph rows."""
     seen = []
 
-    def record(g, oracle, tally, cap, deep):
+    def record(g, oracle, tally, cap):
         seen.append((g, set(vars(g))))
 
     monkeypatch.setattr(verify, "_check_graph_instance", record)
@@ -276,8 +276,7 @@ FACTS = sorted(name for name, v in vars(SimpleGraph).items() if isinstance(v, la
 def test_walk_graphs_equal_validated_graphs(monkeypatch):
     assert FACTS == [
         "_forests", "_matroidal_ideal", "adjacency", "component_colorings",
-        "component_vertex_sets", "cut_structure", "forest_count",
-        "four_cycle_adjacency", "four_cycle_union",
+        "cut_structure", "forest_count", "four_cycle_adjacency",
     ]
     seen = [item for n in range(2, 6) for item in _walk_graphs(monkeypatch, n)]
     assert len(seen) == 771
@@ -320,11 +319,14 @@ def test_growth_rows_skip_when_only_the_tripling_exceeds_the_cap():
     oracle = reduce(_grow, [_edge_step(5, *e) for e in sorted(p5.edges)], _NO_EDGES)
 
     def graph_rows(tally, cap):
-        _check_graph_instance(p5, oracle, tally, cap, False)
+        _check_graph_instance(p5, oracle, tally, cap)
 
     for cap, growth in ((19, [0, 0, 1]), (20, [1, 0, 0])):
         rows = _growth_rows(graph_rows, cap)
         assert rows.pop("polynomial-growth-forward") == growth
+        # P5 has five vertices, so it reaches the deep rows, which skip:
+        # mu(I^4) = 35 exceeds both caps
+        assert all(rows.pop(name) == [0, 0, 1] for name in verify.DEEP_ROWS)
         assert set(rows) == set(verify.GRAPH_ROWS) - {"polynomial-growth-forward"}
         assert all(row == [1, 0, 0] for row in rows.values())
     with pytest.raises(ResourceCapError) as exc:
@@ -335,7 +337,7 @@ def test_growth_rows_skip_when_only_the_tripling_exceeds_the_cap():
     k3 = SimpleGraph(3, frozenset({(1, 2), (1, 3), (2, 3)}))
 
     def matroid_rows(tally, cap):
-        _check_matroid_instance(k3, tally, cap, 7)
+        _check_matroid_instance(k3, tally, cap)
 
     rows = _growth_rows(matroid_rows, 9)
     assert rows == {
@@ -353,7 +355,7 @@ def test_growth_rows_skip_when_only_the_tripling_exceeds_the_cap():
     # row runs instead
     diamond = SimpleGraph(4, frozenset({(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)}))
     rows = _growth_rows(
-        lambda tally, cap: _check_matroid_instance(diamond, tally, cap, 7), DEFAULT_CAP
+        lambda tally, cap: _check_matroid_instance(diamond, tally, cap), DEFAULT_CAP
     )
     assert rows == {
         name: [1, 0, 0] for name in verify.MATROID_ROWS if name != "matroid-polynomial-growth"
