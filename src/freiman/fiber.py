@@ -84,22 +84,16 @@ def is_freiman(ideal: MonomialIdeal, cap=None) -> FiberProfile:
 
 def fiber_profile(mu: list, ell: int) -> FiberProfile:
     """The Freiman verdict read off the prefix (1, mu(I), mu(I^2)) of a
-    generator-count series at analytic spread ell.  The h-prefix is
-    (1, mu - ell, h2), h_vector's sums on three entries."""
-    if ell < 1:
-        raise ValueError("analytic spread must be >= 1")
-    if not mu or mu[0] != 1:
-        raise ValueError("a generator-count series must start with mu(I^0) = 1")
-    _, m, doubled = mu[:3]
-    bound2 = ell * m - comb(ell, 2)
-    h2 = doubled - bound2
+    generator-count series at analytic spread ell: its h-prefix is
+    (1, mu - ell, h2), and mu(I^2) - h2 is the bound ell*mu - C(ell, 2)."""
+    h = h_vector(mu[:3], ell)
     return FiberProfile(
         ell=ell,
-        mu_series=(1, m, doubled),
-        h_partial=(1, m - ell, h2),
-        freiman=h2 == 0,
-        bound2=bound2,
-        h2=h2,
+        mu_series=tuple(mu[:3]),
+        h_partial=tuple(h),
+        freiman=h[2] == 0,
+        bound2=mu[2] - h[2],
+        h2=h[2],
     )
 
 
@@ -129,20 +123,26 @@ def check_growth_identities(ideal: MonomialIdeal, max_power: int, cap=None) -> G
         raise ValueError("max_power must be >= 2")
     ideal = with_witness(ideal)
     mu = mu_series(ideal, max_power, cap=cap)
-    ell = affine_dim(ideal.generators) + 1
+    return _growth(mu, affine_dim(ideal.generators) + 1)
+
+
+def _growth(mu, ell) -> GrowthReport:
+    """The growth rows of the series mu = [1, mu(I), ..., mu(I^K)] at
+    analytic spread ell.  The partial sums are mu_from_h of the h-vector
+    with h_0 and h_1 zeroed."""
     h = h_vector(mu, ell)
+    partials = mu_from_h([0, 0, *h[2:]], ell, len(mu) - 1)
     rows = []
-    for k in range(2, max_power + 1):
+    for k in range(2, len(mu)):
         bound = generalized_lower_bound(mu[1], ell, k)
-        partial = sum(comb(ell + k - i - 1, k - i) * h[i] for i in range(2, k + 1))
         rows.append(
             GrowthRow(
                 k=k,
                 mu_k=mu[k],
                 lower_bound=bound,
                 equality=mu[k] == bound,
-                partial_sum=partial,
-                nonnegative=partial >= 0,
+                partial_sum=partials[k],
+                nonnegative=partials[k] >= 0,
             )
         )
     return GrowthReport(ell=ell, mu=tuple(mu), h=tuple(h), rows=tuple(rows))

@@ -22,13 +22,14 @@ class SimpleGraph(Record):
       adjacency              -- tuple of n + 1 int neighbour masks: bit w
                                 of adjacency[v] is set iff vw is an edge
                                 (adjacency[0] is 0)
-      component_colorings    -- one (mask, sides) pair per connected
-                                component, ordered by smallest member:
-                                mask holds its vertices, and sides is the
-                                2-coloring (even, odd), the unions of the
-                                even and the odd BFS layers from the
+      component_colorings    -- one (mask, sides, edges) triple per
+                                connected component, ordered by smallest
+                                member: mask holds its vertices, sides is
+                                the 2-coloring (even, odd), the unions of
+                                the even and the odd BFS layers from the
                                 smallest member, or None if the component
-                                has an odd cycle
+                                has an odd cycle, and edges is its number
+                                of edges
       four_cycle_adjacency   -- neighbour masks, as in adjacency, of the
                                 union H of all 4-cycles
       cut_structure          -- (frozenset of cut vertices, number of
@@ -161,24 +162,27 @@ def _vertices(mask):
 
 
 def _component_layers(adj, within):
-    """(mask, sides) for each connected component of the subgraph induced
-    on the vertex mask within, ordered by smallest member.  A layered BFS
-    from that member puts the even layers in sides[0] and the odd ones in
-    sides[1]; an edge inside one layer closes an odd cycle, and then sides
-    is None."""
+    """(mask, sides, edges) for each connected component of the subgraph
+    induced on the vertex mask within, ordered by smallest member.  A
+    layered BFS from that member puts the even layers in sides[0] and the
+    odd ones in sides[1]; an edge inside one layer closes an odd cycle,
+    and then sides is None.  Each visited vertex adds its degree inside
+    within, so edges is half their sum."""
     out = []
     while within:
         frontier = within & -within
         sides = [frontier, 0]
         seen = frontier
         odd_cycle = False
-        parity = 0
+        parity = degrees = 0
         while frontier:
             reach = 0
             rest = frontier
             while rest:
                 low = rest & -rest
-                reach |= adj[low.bit_length() - 1]
+                nbrs = adj[low.bit_length() - 1]
+                reach |= nbrs
+                degrees += (nbrs & within).bit_count()
                 rest ^= low
             odd_cycle = odd_cycle or bool(reach & frontier)
             frontier = reach & within & ~seen
@@ -186,7 +190,7 @@ def _component_layers(adj, within):
             parity ^= 1
             sides[parity] |= frontier
         within &= ~seen
-        out.append((seen, None if odd_cycle else tuple(sides)))
+        out.append((seen, None if odd_cycle else tuple(sides), degrees // 2))
     return tuple(out)
 
 
@@ -195,7 +199,7 @@ def components(g: SimpleGraph) -> list:
     increasing order of their original labels), ordered by smallest
     original vertex."""
     out = []
-    for mask, _ in g.component_colorings:
+    for mask, *_ in g.component_colorings:
         verts = _vertices(mask)
         index = {v: i + 1 for i, v in enumerate(verts)}
         edges = {
@@ -261,7 +265,7 @@ def is_bipartite(g: SimpleGraph):
     """A bipartition (part_a, part_b) with the smallest vertex of every
     component in part_a, or None if an odd cycle exists."""
     part_a = part_b = 0
-    for _, sides in g.component_colorings:
+    for _, sides, _ in g.component_colorings:
         if sides is None:
             return None
         part_a |= sides[0]
@@ -302,21 +306,19 @@ def enumerate_simple_cycles(g: SimpleGraph, cap=None) -> list:
     return _simple_cycles(g.adjacency, effective_cap(cap))
 
 
-def _has_polynomial_edge_ring(adj, mask, sides):
-    """Whether the component on the vertex mask mask with 2-coloring
-    sides has at most one independent cycle, and that cycle, if any, is
-    odd.  A unicyclic graph is 2-colorable iff its cycle is even."""
-    cyclo = sum(adj[v].bit_count() for v in _vertices(mask)) // 2 - mask.bit_count() + 1
+def _has_polynomial_edge_ring(mask, sides, edges):
+    """Whether the component on the vertex mask mask, with 2-coloring
+    sides and edges edges, has at most one independent cycle, and that
+    cycle, if any, is odd.  A unicyclic graph is 2-colorable iff its
+    cycle is even."""
+    cyclo = edges - mask.bit_count() + 1
     return cyclo == 0 or (cyclo == 1 and sides is None)
 
 
 def is_polynomial_edge_ring(g: SimpleGraph) -> bool:
     """True iff every component has at most one independent cycle and any
     such cycle is odd; equivalently, no primitive even walks exist."""
-    return all(
-        _has_polynomial_edge_ring(g.adjacency, mask, sides)
-        for mask, sides in g.component_colorings
-    )
+    return all(_has_polynomial_edge_ring(*comp) for comp in g.component_colorings)
 
 
 def _four_cycle_union_edges(adj):
@@ -346,13 +348,15 @@ def four_cycle_union_subgraph(g: SimpleGraph) -> SimpleGraph:
 
 def _is_complete_bipartite_2s(h_adj, h_mask):
     """Whether the graph with adjacency masks h_adj on the vertex mask
-    h_mask is complete bipartite with parts of sizes 2 and s >= 2."""
+    h_mask is complete bipartite with parts of sizes 2 and s >= 2: a
+    connected bipartite graph with those parts has at most 2s edges, and
+    exactly 2s iff it is complete."""
     layers = _component_layers(h_adj, h_mask)
     if len(layers) != 1 or layers[0][1] is None:
         return False
-    small, big = sorted(side.bit_count() for side in layers[0][1])
-    degrees = sum(nbrs.bit_count() for nbrs in h_adj)
-    return small == 2 and big >= 2 and degrees == 4 * big
+    _, sides, edges = layers[0]
+    small, big = sorted(side.bit_count() for side in sides)
+    return small == 2 and big >= 2 and edges == 2 * big
 
 
 def has_long_primitive_even_walk(g: SimpleGraph, cap=None):
@@ -383,11 +387,10 @@ def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
     return _fresh_ideal(g.n, pts, ((1,) * g.n, 2))
 
 
-def _classify_connected(g, mask, sides, cap, bipartite_rule=True):
+def _classify_connected(g, mask, sides, edges, cap, bipartite_rule=True):
     """Classifier for the connected component of g on the vertex mask
-    mask, with 2-coloring sides."""
-    adj = g.adjacency
-    if _has_polynomial_edge_ring(adj, mask, sides):
+    mask, with 2-coloring sides and edges edges."""
+    if _has_polynomial_edge_ring(mask, sides, edges):
         return GraphVerdict(True, "no-primitive-walks")
     # every 4-cycle lies inside one component
     h_adj = _restrict(g.four_cycle_adjacency, mask)
@@ -404,10 +407,10 @@ def _classify_connected(g, mask, sides, cap, bipartite_rule=True):
         if (
             bipartite_rule
             and sides is not None
-            and _bipartite_rule_holds(adj, mask, h_adj, h_mask)
+            and _bipartite_rule_holds(mask, edges, h_mask)
         ):
             return GraphVerdict(True, "K2s-with-short-walks")
-    walk = _long_walk(_restrict(adj, mask), cap)
+    walk = _long_walk(_restrict(g.adjacency, mask), cap)
     if walk is not None:
         return GraphVerdict(False, "witness-long-walk", witness=walk)
     return GraphVerdict(True, "K2s-with-short-walks")
@@ -433,29 +436,18 @@ def _long_walk(adj, cap):
     return None
 
 
-def _bipartite_rule_holds(adj, mask, h_adj, h_mask):
+def _bipartite_rule_holds(mask, edges, h_mask):
     """Structural rule for a connected bipartite component (vertex mask
-    mask) that is not a tree and whose 4-cycle union H (adjacency h_adj,
-    vertex mask h_mask) is complete bipartite of type (2,s): it is Freiman
-    iff the edges inside V(H) are exactly the H edges and the rest of the
-    component consists of induced trees, each meeting H in exactly one
-    vertex.  False defers to the general walk search (only for witness
-    construction on failure)."""
-    if any(adj[v] & h_mask != h_adj[v] for v in _vertices(h_mask)):
-        return False
-    for part, _ in _component_layers(adj, mask & ~h_mask):
-        verts = _vertices(part)
-        anchors = 0
-        for v in verts:
-            anchors |= adj[v] & h_mask
-        if anchors.bit_count() != 1:
-            return False
-        inner = sum((adj[v] & part).bit_count() for v in verts) // 2
-        attach = sum((adj[v] & anchors).bit_count() for v in verts)
-        # the part plus its anchor must form a tree
-        if inner + attach != len(verts):
-            return False
-    return True
+    mask, edges edges) that is not a tree and whose 4-cycle union H
+    (vertex mask h_mask) is complete bipartite of type (2,s): it is
+    Freiman iff the edges inside V(H) are exactly the H edges and the rest
+    of the component consists of induced trees, each hung on H by one
+    edge.  That is, contracting the connected H leaves a tree, so the
+    component has as many independent cycles as H = K(2,s), whose 2s
+    edges on s + 2 vertices give s - 1.  False defers to the general walk
+    search (only for witness construction on failure)."""
+    s = h_mask.bit_count() - 2
+    return edges - mask.bit_count() + 1 == s - 1
 
 
 def classify_freiman_graph(g: SimpleGraph, cap=None, _bipartite_rule=True) -> GraphVerdict:
@@ -467,15 +459,15 @@ def classify_freiman_graph(g: SimpleGraph, cap=None, _bipartite_rule=True) -> Gr
     bipartite components (used to cross-check the structural shortcut).
     """
     cap = effective_cap(cap)
-    comps = [(mask, sides) for mask, sides in g.component_colorings if mask & mask - 1]
+    comps = [comp for comp in g.component_colorings if comp[2]]
     if len(comps) <= 1:
         if not comps:
             return GraphVerdict(True, "no-primitive-walks")
         return _classify_connected(g, *comps[0], cap, _bipartite_rule)
     verdicts = []
     nonpoly = []
-    for mask, sides in comps:
-        v = _classify_connected(g, mask, sides, cap, _bipartite_rule)
+    for mask, sides, edges in comps:
+        v = _classify_connected(g, mask, sides, edges, cap, _bipartite_rule)
         verdicts.append((mask, v))
         if v.reason != "no-primitive-walks":
             nonpoly.append(mask)

@@ -40,7 +40,6 @@ class MatroidVerdict(Record):
     total_cycles_bound: int   # e - n + s, the number of independent cycles
     spread_formula: int       # e - b + 1, b blocks
     spread_numeric: int       # affine-hull rank of the basis vectors + 1
-    regularity: int | None = None
 
 
 def matrix_tree_count(g: SimpleGraph) -> int:
@@ -48,8 +47,8 @@ def matrix_tree_count(g: SimpleGraph) -> int:
     Laplacian determinants.  Read it as the cached g.forest_count."""
     adj = g.adjacency
     total = 1
-    for mask, _ in g.component_colorings:
-        if not mask & mask - 1:
+    for mask, _, edges in g.component_colorings:
+        if not edges:
             continue  # an isolated vertex has one spanning forest
         verts = _vertices(mask)
         reduced = [[-(adj[v] >> w & 1) for w in verts[:-1]] for v in verts[:-1]]

@@ -110,7 +110,7 @@ def matroid_report(g: "SimpleGraph", with_hvector=False, cap=None, no_timing=Fal
             "total_cycles_bound": verdict.total_cycles_bound,
             "spread_formula": verdict.spread_formula,
             "spread_numeric": verdict.spread_numeric,
-            "regularity": verdict.regularity,
+            "regularity": None,
         },
     }
     if g.edges:

@@ -21,7 +21,7 @@ from itertools import combinations, permutations, repeat
 from math import comb
 
 from .errors import PreconditionError, ResourceCapError, effective_cap
-from .fiber import fiber_profile, h_vector, mu_from_h, mu_series
+from .fiber import _growth, fiber_profile, mu_from_h, mu_series
 from .formats import graph_to_dict
 from .graphs import (
     SimpleGraph,
@@ -31,7 +31,7 @@ from .graphs import (
     edge_ideal,
     is_polynomial_edge_ring,
 )
-from .lattice import _dilations, _packed_sum, _shifts, affine_dim, generalized_lower_bound
+from .lattice import _dilations, _packed_sum, _shifts, affine_dim
 from .matroids import (
     base_ring_regularity,
     classify_freiman_matroid,
@@ -156,7 +156,7 @@ def _check_graph_instance(g, oracle, tally, cap):
     )
     # isolated vertices count as bipartite components
     comps = g.component_colorings
-    nbip = sum(1 for _, sides in comps if sides is not None)
+    nbip = sum(1 for _, sides, _ in comps if sides is not None)
     tally.record("edge-ring-spread-identity", profile.ell == g.n - nbip, g)
 
     if nbip == len(comps):  # every component bipartite: the structural rule applies
@@ -197,25 +197,16 @@ def _check_deep_instance(g, ideal, profile, tally, cap):
         for name in DEEP_ROWS:
             tally.skip(name)
         return
-    ell = profile.ell
-    bounds = [generalized_lower_bound(mu[1], ell, k) for k in range(1, 5)]
-    tally.record(
-        "growth-lower-bound",
-        all(mu[k] >= bounds[k - 1] for k in range(1, 5)),
-        g,
-    )
-    h = h_vector(mu, ell)
-    partials = [
-        sum(comb(ell + k - i - 1, k - i) * h[i] for i in range(2, k + 1))
-        for k in range(2, 5)
-    ]
-    tally.record("partial-sums-nonnegative", all(p >= 0 for p in partials), g)
+    growth = _growth(mu, profile.ell)
+    rows = growth.rows
+    tally.record("growth-lower-bound", all(r.mu_k >= r.lower_bound for r in rows), g)
+    tally.record("partial-sums-nonnegative", all(r.nonnegative for r in rows), g)
     if profile.h2 == 0:
-        ok = all(mu[k] == bounds[k - 1] for k in range(2, 5))
+        ok = all(r.equality for r in rows)
     else:
-        ok = mu[2] > bounds[1]
+        ok = rows[0].mu_k > rows[0].lower_bound
     tally.record("growth-equality-transfer", ok, g)
-    tally.record("h-mu-roundtrip", mu_from_h(h, ell, 4) == mu, g)
+    tally.record("h-mu-roundtrip", mu_from_h(growth.h, profile.ell, 4) == mu, g)
 
 
 def _check_matroid_instance(g, tally, cap):
@@ -261,7 +252,7 @@ def _check_matroid_instance(g, tally, cap):
                 ok = 3 <= reg <= e - 1
             else:
                 c = len(cut_vertices(g))
-                s = sum(1 for mask, _ in g.component_colorings if mask & mask - 1)
+                s = sum(1 for *_, edges in g.component_colorings if edges)
                 ok = 3 <= reg <= e - c - s
             tally.record("matroid-regularity-bounds", ok, g)
         except ResourceCapError:

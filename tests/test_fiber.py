@@ -1,10 +1,13 @@
 """Analytic spread, generator series, h-vectors, and the Freiman test."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freiman import (
+    SimpleGraph,
     analytic_spread,
     check_growth_identities,
     edge_ideal,
@@ -132,9 +135,21 @@ def test_growth_identities_principal():
     assert all(row.equality for row in report.rows)
 
 
+def _connected_graphs(max_n):
+    for n in range(2, max_n + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1, 1 << len(pairs)):
+            g = SimpleGraph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+            if len(g.component_colorings) == 1:
+                yield g
+
+
 def test_growth_partial_sum_is_excess():
-    # the tail partial sum equals mu_k minus the lower bound, exactly
-    for ideal in (c4_ideal(), k4_ideal()):
+    # the tail partial sum equals mu_k minus the lower bound, exactly, on
+    # the edge ideal of every connected labeled graph on at most 5 vertices
+    connected = [edge_ideal(g) for g in _connected_graphs(5)]
+    assert len(connected) == 1 + 4 + 38 + 728
+    for ideal in (c4_ideal(), k4_ideal(), *connected):
         report = check_growth_identities(ideal, 4)
         for row in report.rows:
             assert row.partial_sum == row.mu_k - row.lower_bound

@@ -71,7 +71,7 @@ def test_graph_facts_match_networkx():
     for g in GRAPHS:
         G = _to_nx(g)
         where = (g.n, g.sorted_edges())
-        assert [_vertices(mask) for mask, _ in g.component_colorings] == sorted(
+        assert [_vertices(mask) for mask, *_ in g.component_colorings] == sorted(
             tuple(sorted(c)) for c in nx.connected_components(G)
         ), where
         assert (is_bipartite(g) is not None) == nx.is_bipartite(G), where
@@ -91,7 +91,7 @@ def test_bipartition_is_a_proper_two_coloring():
         part_a, part_b = parts
         assert part_a | part_b == set(range(1, g.n + 1))
         assert all((u in part_a) != (v in part_a) for u, v in g.edges)
-        assert all(_vertices(mask)[0] in part_a for mask, _ in g.component_colorings)
+        assert all(_vertices(mask)[0] in part_a for mask, *_ in g.component_colorings)
 
 
 def _canonical_cycle(cycle):
@@ -152,8 +152,9 @@ def test_component_colorings_match_networkx():
         where = (g.n, g.sorted_edges())
         colorings = g.component_colorings
         assert len(colorings) == nx.number_connected_components(G), where
-        for mask, sides in colorings:
+        for mask, sides, edges in colorings:
             verts = _vertices(mask)
+            assert edges == G.subgraph(verts).number_of_edges(), where
             assert (sides is not None) == nx.is_bipartite(G.subgraph(verts)), where
             if sides is None:
                 continue
@@ -165,6 +166,23 @@ def test_component_colorings_match_networkx():
                 for u, v in g.edges
                 if mask >> u & 1
             ), where
+
+
+def test_component_layers_on_sub_masks_match_networkx():
+    # components of the subgraph induced on a random vertex mask
+    rng = random.Random(14)
+    for g in GRAPHS:
+        within = rng.getrandbits(g.n) << 1
+        H = _to_nx(g).subgraph(_vertices(within))
+        where = (g.n, g.sorted_edges(), within)
+        layers = graphs._component_layers(g.adjacency, within)
+        assert [_vertices(mask) for mask, *_ in layers] == sorted(
+            tuple(sorted(c)) for c in nx.connected_components(H)
+        ), where
+        for mask, sides, edges in layers:
+            part = H.subgraph(_vertices(mask))
+            assert (sides is not None) == nx.is_bipartite(part), where
+            assert edges == part.number_of_edges(), where
 
 
 # each lazy fact and the helper that computes it

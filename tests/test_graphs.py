@@ -12,6 +12,7 @@ from freiman import (
     edge_ideal,
     enumerate_simple_cycles,
     four_cycle_union_subgraph,
+    graphs,
     has_long_primitive_even_walk,
     is_bipartite,
     is_freiman,
@@ -211,6 +212,37 @@ def test_classify_matches_numeric_on_named_graphs():
         assert (
             classify_freiman_graph(g).freiman == is_freiman(edge_ideal(g)).freiman
         ), g
+
+
+C4 = [(1, 2), (2, 3), (3, 4), (4, 1)]
+
+
+def c4_with_long_path():
+    """C4 with the path 1-5-6-7-3: the rest of the graph meets H twice."""
+    return graph(7, C4 + [(1, 5), (5, 6), (6, 7), (7, 3)])
+
+
+def c4_with_hung_hexagon():
+    """C4 with a hexagon hung on vertex 1 by the edge 1-5: the rest of the
+    graph is not a tree."""
+    hexagon = [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 5)]
+    return graph(10, C4 + [(1, 5)] + hexagon)
+
+
+@pytest.mark.parametrize("g", [c4_with_long_path(), c4_with_hung_hexagon()])
+def test_bipartite_rule_false_defers_to_walk_search(g, monkeypatch):
+    returned = []
+    original = graphs._bipartite_rule_holds
+
+    def spy(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(graphs, "_bipartite_rule_holds", spy)
+    verdict = classify_freiman_graph(g)
+    assert returned == [False]
+    assert verdict.reason == "witness-long-walk" and not verdict.freiman
+    assert verdict.freiman == is_freiman(edge_ideal(g)).freiman
 
 
 def test_classify_isolated_vertices_ignored():

@@ -40,10 +40,8 @@ RECORDS = {
         ("source", "ground", "bases"), {}, (PATH, ((1, 2), (2, 3)), ((0, 1),)),
     ),
     MatroidVerdict: (
-        ("freiman", "total_cycles_bound", "spread_formula", "spread_numeric",
-         "regularity"),
-        {"regularity": None},
-        (True, 0, 3, 3, 2),
+        ("freiman", "total_cycles_bound", "spread_formula", "spread_numeric"), {},
+        (True, 0, 3, 3),
     ),
 }
 CLASSES = list(RECORDS)
@@ -130,7 +128,7 @@ def test_internal_constructors_equal_the_validated_ones():
 
     edges = frozenset({(1, 2), (2, 3)})
     adjacency = (0, 0b100, 0b1010, 0b100)
-    colorings = ((0b1110, (0b1010, 0b100)),)
+    colorings = ((0b1110, (0b1010, 0b100), 2),)
     g = SimpleGraph._trusted(3, edges, adjacency=adjacency, component_colorings=colorings)
     assert type(g) is SimpleGraph
     assert g == PATH and hash(g) == hash(PATH) and repr(g) == repr(PATH)
