@@ -18,10 +18,9 @@ graph nor the matroid module, and `graph classify` not the matroid module.
 import argparse
 import os
 import sys
-from math import comb
 from pathlib import Path
 
-from .errors import ParseError, PreconditionError, ResourceCapError, effective_cap
+from .errors import ParseError, PreconditionError, ResourceCapError, cap_vertex_pairs
 from .formats import dump_json, parse_graph, parse_ideal
 from .reports import graph_report, ideal_report, matroid_report, render_table
 
@@ -144,12 +143,9 @@ def _read_file(path):
 
 
 def _read_graph(path, cap):
-    """The graph in the file at path.  The memory of its facts grows with
-    its C(n, 2) vertex pairs, so more than 8 * cap of them are refused."""
+    """The graph in the file at path, within the vertex-pair guard."""
     g = parse_graph(_read_file(path))
-    pairs, cap = comb(g.n, 2), effective_cap(cap)
-    if pairs > 8 * cap:
-        raise ResourceCapError(f"{pairs} vertex pairs on {g.n} vertices", cap)
+    cap_vertex_pairs(g.n, cap)
     return g
 
 

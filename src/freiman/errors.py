@@ -42,6 +42,14 @@ def effective_cap(cap):
     return DEFAULT_CAP if cap is None else cap
 
 
+def cap_vertex_pairs(n, cap=None):
+    """The facts of a graph on n vertices take memory in its C(n, 2)
+    vertex pairs, so more than 8 * cap of them are refused."""
+    cap = effective_cap(cap)
+    if (pairs := n * (n - 1) // 2) > 8 * cap:
+        raise ResourceCapError(f"{pairs} vertex pairs on {n} vertices", cap)
+
+
 class Record:
     """Base of the immutable value classes.  A subclass declares its fields
     as annotations, in constructor order, defaults last; it gets a plain

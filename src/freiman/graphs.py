@@ -7,9 +7,19 @@ is complete bipartite with one part of size exactly 2 and the graph has no
 primitive even closed walk longer than 4.  Disconnected graphs reduce to
 their components, of which at most one may have a non-polynomial edge ring.
 
+The walk clause has a closed form: with c = e - v + 1 cycles and H =
+K(2,s), which holds s - 1, the component is Freiman iff the excess
+c - (s - 1) <= [it is not bipartite].  By blocks (Whitney): a block with
+no H edge that is not a cycle holds a theta, hence a long even cycle;
+odd cycles in two blocks share at most one vertex; and one ear on the
+block of H adds only odd cycles or long even ones, two ears a long even
+one.  So only a false verdict's witness searches cycles.
+
 Every graph algorithm here runs on int vertex masks: bit v of a mask is
 set iff vertex v belongs to the set.
 """
+
+from functools import reduce
 
 from .errors import PreconditionError, Record, ResourceCapError, effective_cap, lazy
 from .ideals import MonomialIdeal, _fresh_ideal
@@ -113,10 +123,11 @@ class GraphVerdict(Record):
 
     reason is one of:
       no-primitive-walks    -- the edge ring is a polynomial ring
-      K2s-with-short-walks  -- decided by the shape of the 4-cycle union H
-                               (true: H complete bipartite of type (2,s) and
-                               no long walk; false: H fails that shape)
-      witness-long-walk     -- a primitive even walk longer than 4 exists
+      K2s-with-short-walks  -- true: H = K(2,s) and the cycle excess
+                               c - (s - 1) is at most [not bipartite];
+                               false: H is neither empty nor K(2,s)
+      witness-long-walk     -- H is empty or the excess is too large; the
+                               witness is a primitive even walk of length > 4
       component-rule        -- verdict combined across components
     A witness is present whenever freiman is False.
     """
@@ -202,9 +213,7 @@ def components(g: SimpleGraph) -> list:
     for mask, *_ in g.component_colorings:
         verts = _vertices(mask)
         index = {v: i + 1 for i, v in enumerate(verts)}
-        edges = {
-            (index[u], index[v]) for u, v in g.edges if u in index and v in index
-        }
+        edges = {(index[u], index[v]) for u, v in g.edges if u in index}
         out.append(SimpleGraph(len(verts), frozenset(edges)))
     return out
 
@@ -346,17 +355,20 @@ def four_cycle_union_subgraph(g: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(g.n, frozenset(_mask_edges(g.four_cycle_adjacency)))
 
 
-def _is_complete_bipartite_2s(h_adj, h_mask):
-    """Whether the graph with adjacency masks h_adj on the vertex mask
-    h_mask is complete bipartite with parts of sizes 2 and s >= 2: a
-    connected bipartite graph with those parts has at most 2s edges, and
-    exactly 2s iff it is complete."""
-    layers = _component_layers(h_adj, h_mask)
+def _four_cycle_shape(g, mask):
+    """(h_adj, s) for the 4-cycle union H inside the component of g on the
+    vertex mask mask: H's neighbour masks, and s when H is empty (s = -2,
+    from its s + 2 vertices) or complete bipartite with parts of sizes 2
+    and s >= 2, else None.  A connected bipartite graph with those parts
+    has at most 2s edges, and exactly 2s iff it is complete."""
+    h_adj = _restrict(g.four_cycle_adjacency, mask)  # 4-cycles stay in components
+    # H is symmetric: its vertices are its neighbours
+    layers = _component_layers(h_adj, reduce(int.__or__, h_adj))
     if len(layers) != 1 or layers[0][1] is None:
-        return False
+        return h_adj, None if layers else -2
     _, sides, edges = layers[0]
     small, big = sorted(side.bit_count() for side in sides)
-    return small == 2 and big >= 2 and edges == 2 * big
+    return h_adj, big if small == 2 and big >= 2 and edges == 2 * big else None
 
 
 def has_long_primitive_even_walk(g: SimpleGraph, cap=None):
@@ -387,33 +399,20 @@ def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
     return _fresh_ideal(g.n, pts, ((1,) * g.n, 2))
 
 
-def _classify_connected(g, mask, sides, edges, cap, bipartite_rule=True):
-    """Classifier for the connected component of g on the vertex mask
-    mask, with 2-coloring sides and edges edges."""
+def _classify_connected(g, mask, sides, edges):
+    """The deciding clause (freiman, reason, h_adj) for the connected
+    component of g on the vertex mask mask, with 2-coloring sides and
+    edges edges, by the cycle excess of the module docstring; h_adj holds
+    H's neighbour masks if H is not K(2,s).  An empty H (s = -2) always
+    has an excess above 1."""
     if _has_polynomial_edge_ring(mask, sides, edges):
-        return GraphVerdict(True, "no-primitive-walks")
-    # every 4-cycle lies inside one component
-    h_adj = _restrict(g.four_cycle_adjacency, mask)
-    h_mask = 0
-    for nbrs in h_adj:  # H is symmetric: its vertices are its neighbours
-        h_mask |= nbrs
-    if h_mask:
-        if not _is_complete_bipartite_2s(h_adj, h_mask):
-            return GraphVerdict(
-                False,
-                "K2s-with-short-walks",
-                witness={"four_cycle_union": [list(e) for e in _mask_edges(h_adj)]},
-            )
-        if (
-            bipartite_rule
-            and sides is not None
-            and _bipartite_rule_holds(mask, edges, h_mask)
-        ):
-            return GraphVerdict(True, "K2s-with-short-walks")
-    walk = _long_walk(_restrict(g.adjacency, mask), cap)
-    if walk is not None:
-        return GraphVerdict(False, "witness-long-walk", witness=walk)
-    return GraphVerdict(True, "K2s-with-short-walks")
+        return True, "no-primitive-walks", None
+    h_adj, s = _four_cycle_shape(g, mask)
+    if s is None:
+        return False, "K2s-with-short-walks", h_adj
+    if edges - mask.bit_count() + 1 - (s - 1) <= (sides is None):
+        return True, "K2s-with-short-walks", None
+    return False, "witness-long-walk", None
 
 
 def _long_walk(adj, cap):
@@ -436,49 +435,34 @@ def _long_walk(adj, cap):
     return None
 
 
-def _bipartite_rule_holds(mask, edges, h_mask):
-    """Structural rule for a connected bipartite component (vertex mask
-    mask, edges edges) that is not a tree and whose 4-cycle union H
-    (vertex mask h_mask) is complete bipartite of type (2,s): it is
-    Freiman iff the edges inside V(H) are exactly the H edges and the rest
-    of the component consists of induced trees, each hung on H by one
-    edge.  That is, contracting the connected H leaves a tree, so the
-    component has as many independent cycles as H = K(2,s), whose 2s
-    edges on s + 2 vertices give s - 1.  False defers to the general walk
-    search (only for witness construction on failure)."""
-    s = h_mask.bit_count() - 2
-    return edges - mask.bit_count() + 1 == s - 1
-
-
-def classify_freiman_graph(g: SimpleGraph, cap=None, _bipartite_rule=True) -> GraphVerdict:
+def classify_freiman_graph(g: SimpleGraph, cap=None) -> GraphVerdict:
     """Combinatorial Freiman test for any simple graph.
 
     Disconnected graphs are Freiman iff every component is and at most one
     component fails to have a polynomial edge ring.  Isolated vertices are
-    ignored.  _bipartite_rule=False forces the general walk search even on
-    bipartite components (used to cross-check the structural shortcut).
+    ignored.  The verdict is a few integer tests per component; only a
+    false verdict on a graph with one component with edges searches for a
+    witness, and cap bounds that search alone.
     """
-    cap = effective_cap(cap)
     comps = [comp for comp in g.component_colorings if comp[2]]
-    if len(comps) <= 1:
-        if not comps:
-            return GraphVerdict(True, "no-primitive-walks")
-        return _classify_connected(g, *comps[0], cap, _bipartite_rule)
-    verdicts = []
-    nonpoly = []
-    for mask, sides, edges in comps:
-        v = _classify_connected(g, mask, sides, edges, cap, _bipartite_rule)
-        verdicts.append((mask, v))
-        if v.reason != "no-primitive-walks":
-            nonpoly.append(mask)
-    bad = [mask for mask, v in verdicts if not v.freiman]
+    if not comps:
+        return GraphVerdict(True, "no-primitive-walks")
+    if len(comps) == 1:
+        freiman, reason, h_adj = _classify_connected(g, *comps[0])
+        if freiman:
+            return GraphVerdict(True, reason)
+        if h_adj is None:  # isolated vertices lie on no cycle
+            witness = _long_walk(g.adjacency, effective_cap(cap))
+        else:
+            witness = {"four_cycle_union": [list(e) for e in _mask_edges(h_adj)]}
+        return GraphVerdict(False, reason, witness=witness)
+    verdicts = [(comp[0], *_classify_connected(g, *comp)[:2]) for comp in comps]
+    bad = [mask for mask, freiman, _ in verdicts if not freiman]
+    nonpoly = [mask for mask, _, why in verdicts if why != "no-primitive-walks"]
     if bad or len(nonpoly) > 1:
-        return GraphVerdict(
-            False,
-            "component-rule",
-            witness={
-                "failing_components": [list(_vertices(mask)) for mask in bad],
-                "non_polynomial_components": [list(_vertices(mask)) for mask in nonpoly],
-            },
-        )
+        witness = {
+            "failing_components": [list(_vertices(mask)) for mask in bad],
+            "non_polynomial_components": [list(_vertices(mask)) for mask in nonpoly],
+        }
+        return GraphVerdict(False, "component-rule", witness=witness)
     return GraphVerdict(True, "component-rule")

@@ -163,13 +163,8 @@ def render_table(report: dict) -> str:
                     max(len(h), *(len(row[i]) for row in rows))
                     for i, h in enumerate(headers)
                 ]
-                lines.append(
-                    prefix + "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-                )
-                for row in rows:
-                    lines.append(
-                        prefix + "  ".join(c.ljust(w) for c, w in zip(row, widths))
-                    )
+                for row in [headers, *rows]:
+                    lines.append(prefix + "  ".join(map(str.ljust, row, widths)))
             else:
                 for v in obj:
                     lines.append(f"{prefix}- {_format_value(v)}")

@@ -137,6 +137,37 @@ def brute_articulation_points(g: SimpleGraph):
     return points
 
 
+def walk_search_freiman(g: SimpleGraph):
+    """The paper's statement for a connected graph g, by the walk search:
+    g is Freiman iff its edge ring is a polynomial ring, or its 4-cycle
+    union H is K(2,s) and no primitive even closed walk is longer than 4.
+    An empty H goes through the search too.  H, on s + 2 >= 4 vertices,
+    is K(2,s) iff it has 2s edges and they join some vertex pair a, b to
+    all other vertices."""
+    if freiman.is_polynomial_edge_ring(g):
+        return True
+    h = freiman.four_cycle_union_subgraph(g).edges
+    verts = {v for e in h for v in e}
+    k2s = len(verts) >= 4 and len(h) == 2 * (len(verts) - 2) and any(
+        h == {(min(x, y), max(x, y)) for x in (a, b) for y in verts - {a, b}}
+        for a, b in combinations(verts, 2)
+    )
+    if h and not k2s:
+        return False
+    return freiman.has_long_primitive_even_walk(g) is None
+
+
+def bench_module(name):
+    """The module bench/<name>.py, loaded from its file."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def graph(n, edges):
     return SimpleGraph.from_edges(n, edges)
 

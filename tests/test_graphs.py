@@ -1,5 +1,9 @@
 """Graph structure, cycle enumeration, and the Freiman-graph classifier."""
 
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +31,7 @@ from helpers import (
     cycle_graph,
     graph,
     path_graph,
+    walk_search_freiman,
 )
 
 
@@ -184,11 +189,15 @@ def test_classify_c6_long_walk():
     assert verdict.witness == {"kind": "even-cycle", "cycle": [1, 2, 3, 4, 5, 6]}
 
 
+K23 = [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]
+
+
+def k23_pendant_triangle():
+    return graph(7, K23 + [(1, 6), (6, 7), (1, 7)])
+
+
 def test_classify_k23_with_pendant_triangle():
-    g = graph(
-        7,
-        [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (1, 6), (6, 7), (1, 7)],
-    )
+    g = k23_pendant_triangle()
     verdict = classify_freiman_graph(g)
     assert verdict.freiman
     assert is_freiman(edge_ideal(g)).freiman
@@ -230,19 +239,103 @@ def c4_with_hung_hexagon():
 
 
 @pytest.mark.parametrize("g", [c4_with_long_path(), c4_with_hung_hexagon()])
-def test_bipartite_rule_false_defers_to_walk_search(g, monkeypatch):
-    returned = []
-    original = graphs._bipartite_rule_holds
-
-    def spy(*args):
-        returned.append(original(*args))
-        return returned[-1]
-
-    monkeypatch.setattr(graphs, "_bipartite_rule_holds", spy)
+def test_bipartite_excess_gives_a_walk_witness(g):
+    # H = C4 = K(2,2) holds one cycle and each graph a second: an excess
+    # of 1, too large for a bipartite graph
     verdict = classify_freiman_graph(g)
-    assert returned == [False]
     assert verdict.reason == "witness-long-walk" and not verdict.freiman
     assert verdict.freiman == is_freiman(edge_ideal(g)).freiman
+
+
+def test_verdicts_need_no_cycle_search(monkeypatch):
+    pentagon = [(6, 7), (7, 8), (8, 9), (9, 10), (10, 6)]
+    c6 = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
+    bowties = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)]
+    cases = [
+        (k23_pendant_triangle(), True, "K2s-with-short-walks"),
+        (graph(10, K23 + [(1, 6)] + pentagon), True, "K2s-with-short-walks"),
+        (graph(12, c6 + [(u + 6, v + 6) for u, v in c6]), False, "component-rule"),
+        (graph(10, bowties + [(u + 5, v + 5) for u, v in bowties]), False,
+         "component-rule"),
+    ]
+
+    def no_search(adj, cap):
+        raise AssertionError("a verdict searched cycles")
+
+    monkeypatch.setattr(graphs, "_simple_cycles", no_search)
+    for g, freiman, reason in cases:
+        verdict = classify_freiman_graph(g)
+        assert (verdict.freiman, verdict.reason) == (freiman, reason), g
+    monkeypatch.undo()
+    for g, freiman, _ in cases:
+        assert is_freiman(edge_ideal(g)).freiman == freiman, g
+    # the cap bounds only a false verdict's witness search
+    assert classify_freiman_graph(k23_pendant_triangle(), cap=1).freiman
+
+
+def test_closed_form_matches_walk_search_on_small_graphs():
+    # every connected labeled graph on <= 6 vertices whose edge ring is not
+    # a polynomial ring, most of them not bipartite
+    checked = nonbipartite = 0
+    for n in range(4, 7):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+            g = SimpleGraph(n, edges)
+            if len(g.component_colorings) != 1 or is_polynomial_edge_ring(g):
+                continue
+            assert classify_freiman_graph(g).freiman == walk_search_freiman(g), g
+            checked += 1
+            nonbipartite += is_bipartite(g) is None
+    assert (checked, nonbipartite) == (23_339, 21_531)
+
+
+def boundary_graph(rng):
+    """A connected graph on 8..16 vertices: K(2,s) with up to four
+    attachments, each an ear of length 1-4 between two vertices, an odd
+    or even cycle hung at one vertex, or a pendant tree; pendant
+    vertices pad it to 8."""
+    n = rng.randint(2, 5) + 2
+    edges = {(a, x) for a in (1, 2) for x in range(3, n + 1)}
+
+    def add_path(path):
+        edges.update((min(e), max(e)) for e in zip(path, path[1:]))
+
+    for _ in range(rng.randint(1, 4)):
+        kind, u, room = rng.randrange(3), rng.randint(1, n), 16 - n
+        if kind == 0:
+            v = rng.choice([w for w in range(1, n + 1) if w != u])
+            new = range(n + 1, n + rng.randint(1, min(4, room + 1)))
+            add_path([u, *new, v])
+        elif kind == 1 and room >= 2:
+            new = range(n + 1, n + rng.randint(3, min(6, room + 1)))
+            add_path([u, *new, u])
+        else:
+            new = range(n + 1, n + 1 + min(rng.randint(1, 3), room))
+            for w in new:
+                add_path([rng.randint(1, w - 1), w])
+        n += len(new)
+    while n < 8:
+        n += 1
+        add_path([rng.randint(1, n - 1), n])
+    return graph(n, edges)
+
+
+def test_closed_form_on_the_boundary_corpus():
+    # the closed form's only check past 7 vertices: each verdict against
+    # the numeric oracle and against the walk search
+    rng = random.Random(2018)
+    outcomes = Counter()
+    for _ in range(3000):
+        g = boundary_graph(rng)
+        assert 8 <= g.n <= 16 and len(g.component_colorings) == 1, g
+        verdict = classify_freiman_graph(g)
+        assert verdict.freiman == is_freiman(edge_ideal(g)).freiman, g
+        assert verdict.freiman == walk_search_freiman(g), g
+        outcomes[verdict.freiman, verdict.reason] += 1
+    assert outcomes[True, "K2s-with-short-walks"] > 0
+    assert outcomes[False, "K2s-with-short-walks"] > 0
+    assert outcomes[False, "witness-long-walk"] > 0
 
 
 def test_classify_isolated_vertices_ignored():

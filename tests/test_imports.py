@@ -1,15 +1,13 @@
 """The lazy package namespace, and the modules each command loads."""
 
 import importlib
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import freiman
-from helpers import cli_env
+from helpers import bench_module, cli_env
 
 C4_JSON = '{"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}'
 EQUIGENERATED = "x1*x2, x2*x3, x3*x4, x4*x1"
@@ -118,10 +116,7 @@ def test_a_patched_definition_is_seen_through_the_package(monkeypatch):
 def test_benchmark_span_targets_still_exist():
     # the benchmark's tracer looks these names up at call time, so a
     # refactor that renames one breaks a traced run
-    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = bench_module("spans")
     assert spans.TARGETS
     for module, attr, _ in spans.TARGETS:
         target = getattr(importlib.import_module(f"freiman.{module}"), attr, None)

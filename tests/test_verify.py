@@ -1,8 +1,10 @@
 """The cross-validation harness itself."""
 
+import json
 import random
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +24,12 @@ from freiman.verify import (
     _grow,
     _is_canonical_mask,
     _merge_results,
+    _random_chunk,
     _sweep_chunk,
     random_graph,
     run_verify,
 )
+from helpers import bench_module
 
 
 def test_exhaustive_small_sweep_passes():
@@ -225,6 +229,60 @@ def test_mask_count_is_capped_before_the_sweep(monkeypatch):
     )
     assert run_verify(max_vertices=7, cap=266_377, jobs=1, no_timing=True)["all_passed"]
     assert run_verify(max_vertices=7, jobs=1, no_timing=True)["all_passed"]
+
+
+def test_random_mode_caps_the_vertex_pairs_before_drawing(monkeypatch, capsys):
+    def no_draw(rng, max_vertices):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(verify, "random_graph", no_draw)
+    with pytest.raises(ResourceCapError) as exc:
+        run_verify(mode="random", max_vertices=100_000, count=1, jobs=1)
+    assert exc.value.what == "4999950000 vertex pairs on 100000 vertices"
+    args = ["verify", "--mode", "random", "--max-vertices", "100000", "--count", "1"]
+    assert main(args) == 3
+    assert capsys.readouterr().err == (
+        "error: resource cap exceeded: 4999950000 vertex pairs on 100000 "
+        "vertices (cap 1000000)\n"
+    )
+    # 8 * cap is the bound: C(13, 2) = 78 pairs pass at cap 10, C(14, 2) = 91 not
+    with pytest.raises(ResourceCapError, match="91 vertex pairs on 14 vertices"):
+        run_verify(mode="random", max_vertices=14, cap=10, jobs=1)
+    with pytest.raises(AssertionError, match="a graph was drawn"):
+        run_verify(mode="random", max_vertices=13, cap=10, jobs=1)
+
+
+def test_random_oracle_stops_once_the_doubling_passes_the_cap(monkeypatch):
+    sizes = []
+
+    def grow(state, step):
+        state = _grow(state, step)
+        sizes.append(len(state[1]))
+        return state
+
+    def no_check(*args):
+        raise AssertionError("the graph was checked")
+
+    monkeypatch.setattr(verify, "_grow", grow)
+    monkeypatch.setattr(verify, "_check_graph_instance", no_check)
+    k8 = {"n": 8, "edges": [list(e) for e in combinations(range(1, 9), 2)]}
+    with pytest.raises(ResourceCapError) as exc:
+        _random_chunk(([k8], 50, 6))
+    assert str(exc.value) == SUMSET_CAP_MESSAGE.format(50, 50)
+    # the first edge whose 2A passes the cap ends the build, well before
+    # the 28 edges of K8
+    assert sizes[-1] > 50 >= sizes[-2] and len(sizes) < 28
+
+
+def test_verify_counts_match_the_benchmark_record():
+    # the benchmark checks the verify-exhaustive output against these
+    # recorded counts; a renamed row or a changed count fails here first
+    workloads = bench_module("workloads")
+    path = Path(workloads.__file__).with_name("expected.json")
+    expected = json.loads(path.read_text())["verify-exhaustive"]["run_verify"]
+    report = run_verify(max_vertices=6, jobs=1, no_timing=True)
+    assert workloads.verify_summary(report) == expected
+    assert expected["rows"]["bipartite-rule-vs-general"] == [3249, 0, 0]
 
 
 def test_canonical_masks_match_networkx_isomorphism_classes():
