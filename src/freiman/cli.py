@@ -120,19 +120,21 @@ def _resolve_cap(args):
         source, raw = "FREIMAN_CAP", os.environ.get("FREIMAN_CAP", "")
         if not raw:
             return None
-    if not raw.isdecimal() or int(raw) < 1:
+    try:
+        cap = int(raw) if raw.isdecimal() else 0
+    except ValueError:  # int() refuses more than 4300 digits
+        raise ParseError(f"{source}: number too long")
+    if cap < 1:
         raise ParseError(f"{source} must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    return cap
 
 
 def _resolve_jobs(jobs):
-    """--jobs: None keeps the default; otherwise an integer >= 1, clamped
-    to the CPU count."""
-    if jobs is None:
-        return None
-    if jobs < 1:
+    """--jobs: None keeps the default; otherwise an integer >= 1, which
+    run_verify clamps to the CPU count."""
+    if jobs is not None and jobs < 1:
         raise ParseError(f"--jobs must be an integer >= 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    return jobs
 
 
 def _read_file(path):

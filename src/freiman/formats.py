@@ -103,8 +103,6 @@ def parse_ideal(text: str, cap=None) -> MonomialIdeal:
     vectors = [
         tuple(e.get(i, 0) for i in range(1, dim + 1)) for e in parsed
     ]
-    if len(set(vectors)) != len(vectors):
-        raise ParseError("duplicate generator in input")
     return _build_ideal(vectors, dim)
 
 
@@ -115,6 +113,8 @@ def _load_json(stripped):
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, col=exc.colno)
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply")
+    except ValueError:  # an integer literal of more than 4300 digits
+        raise ParseError("invalid JSON: number too long")
 
 
 def _ideal_from_json(stripped):
@@ -133,12 +133,12 @@ def _ideal_from_json(stripped):
     dims = {len(v) for v in vectors}
     if len(dims) != 1:
         raise ParseError("exponent vectors have mixed lengths")
-    if len(set(vectors)) != len(vectors):
-        raise ParseError("duplicate generator in input")
     return _build_ideal(vectors, dims.pop())
 
 
 def _build_ideal(vectors, dim):
+    if len(set(vectors)) != len(vectors):
+        raise ParseError("duplicate generator in input")
     try:
         return MonomialIdeal(dim, PointSet(dim, frozenset(vectors)))
     except ValueError as exc:

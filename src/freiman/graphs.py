@@ -156,12 +156,6 @@ def _mask_edges(adj):
     return [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1]
 
 
-def _restrict(adj, mask):
-    """adj with every vertex outside the vertex mask mask made isolated;
-    on a union of components this is the induced subgraph."""
-    return tuple(nbrs if mask >> v & 1 else 0 for v, nbrs in enumerate(adj))
-
-
 def _vertices(mask):
     """The vertices of mask in increasing order."""
     out = []
@@ -282,13 +276,14 @@ def is_bipartite(g: SimpleGraph):
     return (frozenset(_vertices(part_a)), frozenset(_vertices(part_b)))
 
 
-def _simple_cycles(adj, cap):
-    """All simple cycles, each once, as canonical vertex tuples: smallest
-    vertex first, then its smaller cycle-neighbor.  DFS path extension
-    rooted at the minimum vertex of each cycle."""
+def _simple_cycles(adj, cap, within):
+    """All simple cycles of the subgraph induced on the vertex mask
+    within, each once, as canonical vertex tuples: smallest vertex first,
+    then its smaller cycle-neighbor.  DFS path extension rooted at the
+    minimum vertex of each cycle."""
     cycles = []
-    for root in range(1, len(adj)):
-        above = -1 << root + 1  # paths root -> ... use only vertices > root
+    for root in _vertices(within):
+        above = within & -1 << root + 1  # the path uses only vertices > root
         if (adj[root] & above).bit_count() < 2:
             continue  # no cycle has root as its smallest vertex
         stack = [(root, (root,), 1 << root)]
@@ -312,7 +307,7 @@ def _simple_cycles(adj, cap):
 def enumerate_simple_cycles(g: SimpleGraph, cap=None) -> list:
     """Every simple cycle exactly once up to rotation and reflection,
     canonicalized and sorted by (length, vertex sequence)."""
-    return _simple_cycles(g.adjacency, effective_cap(cap))
+    return _simple_cycles(g.adjacency, effective_cap(cap), (1 << g.n + 1) - 2)
 
 
 def _has_polynomial_edge_ring(mask, sides, edges):
@@ -356,19 +351,20 @@ def four_cycle_union_subgraph(g: SimpleGraph) -> SimpleGraph:
 
 
 def _four_cycle_shape(g, mask):
-    """(h_adj, s) for the 4-cycle union H inside the component of g on the
-    vertex mask mask: H's neighbour masks, and s when H is empty (s = -2,
-    from its s + 2 vertices) or complete bipartite with parts of sizes 2
-    and s >= 2, else None.  A connected bipartite graph with those parts
-    has at most 2s edges, and exactly 2s iff it is complete."""
-    h_adj = _restrict(g.four_cycle_adjacency, mask)  # 4-cycles stay in components
-    # H is symmetric: its vertices are its neighbours
-    layers = _component_layers(h_adj, reduce(int.__or__, h_adj))
+    """The s of the 4-cycle union H inside the component of g on the
+    vertex mask mask, when H is empty (s = -2, from its s + 2 vertices)
+    or complete bipartite with parts of sizes 2 and s >= 2; else None.
+    A connected bipartite graph with those parts has at most 2s edges,
+    and exactly 2s iff it is complete."""
+    h = g.four_cycle_adjacency
+    # H is symmetric, so its vertices are its neighbours, and each 4-cycle
+    # lies in one component
+    layers = _component_layers(h, mask & reduce(int.__or__, h))
     if len(layers) != 1 or layers[0][1] is None:
-        return h_adj, None if layers else -2
+        return None if layers else -2
     _, sides, edges = layers[0]
     small, big = sorted(side.bit_count() for side in sides)
-    return h_adj, big if small == 2 and big >= 2 and edges == 2 * big else None
+    return big if small == 2 and big >= 2 and edges == 2 * big else None
 
 
 def has_long_primitive_even_walk(g: SimpleGraph, cap=None):
@@ -383,7 +379,7 @@ def has_long_primitive_even_walk(g: SimpleGraph, cap=None):
     """
     if len(g.component_colorings) != 1:
         raise PreconditionError("primitive-walk search requires a connected graph")
-    return _long_walk(g.adjacency, effective_cap(cap))
+    return _long_walk(g.adjacency, effective_cap(cap), g.component_colorings[0][0])
 
 
 def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
@@ -400,23 +396,22 @@ def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
 
 
 def _classify_connected(g, mask, sides, edges):
-    """The deciding clause (freiman, reason, h_adj) for the connected
-    component of g on the vertex mask mask, with 2-coloring sides and
-    edges edges, by the cycle excess of the module docstring; h_adj holds
-    H's neighbour masks if H is not K(2,s).  An empty H (s = -2) always
-    has an excess above 1."""
+    """The deciding clause (freiman, reason) for the connected component
+    of g on the vertex mask mask, with 2-coloring sides and edges edges,
+    by the cycle excess of the module docstring.  An empty H (s = -2)
+    always has an excess above 1."""
     if _has_polynomial_edge_ring(mask, sides, edges):
-        return True, "no-primitive-walks", None
-    h_adj, s = _four_cycle_shape(g, mask)
+        return True, "no-primitive-walks"
+    s = _four_cycle_shape(g, mask)
     if s is None:
-        return False, "K2s-with-short-walks", h_adj
+        return False, "K2s-with-short-walks"
     if edges - mask.bit_count() + 1 - (s - 1) <= (sides is None):
-        return True, "K2s-with-short-walks", None
-    return False, "witness-long-walk", None
+        return True, "K2s-with-short-walks"
+    return False, "witness-long-walk"
 
 
-def _long_walk(adj, cap):
-    cycles = _simple_cycles(adj, cap)
+def _long_walk(adj, cap, within):
+    cycles = _simple_cycles(adj, cap, within)
     odd = []
     for c in cycles:
         if len(c) % 2 == 0:
@@ -448,15 +443,16 @@ def classify_freiman_graph(g: SimpleGraph, cap=None) -> GraphVerdict:
     if not comps:
         return GraphVerdict(True, "no-primitive-walks")
     if len(comps) == 1:
-        freiman, reason, h_adj = _classify_connected(g, *comps[0])
+        freiman, reason = _classify_connected(g, *comps[0])
         if freiman:
             return GraphVerdict(True, reason)
-        if h_adj is None:  # isolated vertices lie on no cycle
-            witness = _long_walk(g.adjacency, effective_cap(cap))
-        else:
-            witness = {"four_cycle_union": [list(e) for e in _mask_edges(h_adj)]}
+        if reason == "witness-long-walk":
+            witness = _long_walk(g.adjacency, effective_cap(cap), comps[0][0])
+        else:  # every 4-cycle lies in the one component with edges
+            edges = _mask_edges(g.four_cycle_adjacency)
+            witness = {"four_cycle_union": [list(e) for e in edges]}
         return GraphVerdict(False, reason, witness=witness)
-    verdicts = [(comp[0], *_classify_connected(g, *comp)[:2]) for comp in comps]
+    verdicts = [(comp[0], *_classify_connected(g, *comp)) for comp in comps]
     bad = [mask for mask, freiman, _ in verdicts if not freiman]
     nonpoly = [mask for mask, _, why in verdicts if why != "no-primitive-walks"]
     if bad or len(nonpoly) > 1:

@@ -1,20 +1,23 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here is fraction-free or Fraction-based; no floating point.
-The three consumers are affine-hull ranks (Bareiss), matrix-tree
-determinants (Bareiss), and the positive-weight feasibility search for
-quasi-equigeneration witnesses (nullspace basis + exact simplex).  Only
-that search, reached for ideals that are not equigenerated, imports
-fractions.
+One fraction-free (Bareiss) elimination serves the three consumers:
+affine-hull ranks, matrix-tree determinants, and the positive-weight
+feasibility search for quasi-equigeneration witnesses, whose nullspace
+basis is back-substituted from the echelon rows before an exact simplex.
+Only that search, reached for ideals that are not equigenerated,
+imports fractions.
 """
 
 from math import gcd, lcm
+from operator import mul
 
 
 def _eliminate(rows):
-    """(rank, sign, last pivot) of fraction-free (Bareiss) elimination
-    of a matrix with integer rows; sign is -1 after an odd number of row
-    swaps.  `rows` is not modified."""
+    """(rank, sign, last pivot, echelon rows) of fraction-free (Bareiss)
+    elimination of a matrix with integer rows; sign is -1 after an odd
+    number of row swaps, and each echelon row is zero before its pivot
+    column.  `rows` is not modified."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -43,7 +46,7 @@ def _eliminate(rows):
         r += 1
         if r == nrows:
             break
-    return r, sign, prev
+    return r, sign, prev, m[:r]
 
 
 def integer_rank(rows):
@@ -54,52 +57,35 @@ def integer_rank(rows):
 def integer_det(rows):
     """Determinant of a square integer matrix: the signed last Bareiss
     pivot, or 0 below full rank."""
-    rank, sign, pivot = _eliminate(rows)
+    rank, sign, pivot, _ = _eliminate(rows)
     return sign * pivot if rank == len(rows) else 0
 
 
 def nullspace_basis(rows, ncols):
-    """Integer basis of {x in Q^ncols : rows @ x = 0}.
-
-    Row-reduces over Fraction, then clears denominators per basis vector.
-    Returns a list of integer tuples (possibly empty).
-    """
+    """Integer basis of {x in Q^ncols : rows @ x = 0}: one primitive
+    vector per free column of the echelon form, positive there, zero at
+    the other free columns, and back-substituted at the pivot columns.
+    Returns a list of integer tuples (possibly empty)."""
     from fractions import Fraction
 
-    m = [[Fraction(x) for x in r] for r in rows]
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
+    echelon = _eliminate(rows)[3][::-1]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in echelon]
     basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, c in pivots:
-            v[c] = -m[i][free]
-        denom = lcm(*(x.denominator for x in v)) if v else 1
-        ints = [int(x * denom) for x in v]
-        g = gcd(*ints) if any(ints) else 1
-        basis.append(tuple(x // g for x in ints))
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        v = [0] * ncols
+        v[free] = 1
+        for row, c in zip(echelon, pivots):  # bottom up; v[c] is still 0
+            v[c] = Fraction(-sum(map(mul, row, v)), row[c])
+        basis.append(_primitive(v))
     return basis
+
+
+def _primitive(vec):
+    """The rational vector vec, not zero, scaled to coprime integers."""
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def _simplex_max(c, a, b):
@@ -188,8 +174,6 @@ def positive_nullspace_vector(rows, ncols):
     if opt <= 0:
         return None
     coeffs = [x[i] - x[q + i] for i in range(q)]
-    vec = [sum(coeffs[i] * basis[i][j] for i in range(q)) for j in range(ncols)]
-    denom = lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
+    return _primitive(
+        [sum(coeffs[i] * basis[i][j] for i in range(q)) for j in range(ncols)]
+    )

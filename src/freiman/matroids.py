@@ -196,21 +196,18 @@ def classify_freiman_matroid(g: SimpleGraph, cap=None) -> MatroidVerdict:
     )
 
 
-def base_ring_h_polynomial(g: SimpleGraph, max_power=None, cap=None) -> list:
+def base_ring_h_polynomial(g: SimpleGraph, cap=None) -> list:
     """h-vector of the base ring, computed from the generator-count series
     of the matroidal ideal at the formula spread.
 
-    The default series length e - 1 exceeds the degree bound e - 2, so
+    The series runs to power e - 1, past the degree bound e - 2, so
     trailing zeros are exact and are stripped.
     """
     ideal = matroidal_ideal(g, cap=cap)
     ell = matroid_spread_formula(g)
-    e = g.num_edges
-    if max_power is None:
-        max_power = max(e - 1, 1)
-    mu = mu_series(ideal, max_power, cap=cap)
-    h = h_vector(mu, ell)
-    if max_power >= e - 1 and any(h[k] for k in range(max(e - 1, 1), len(h))):
+    top = max(g.num_edges - 1, 1)
+    h = h_vector(mu_series(ideal, top, cap=cap), ell)
+    if any(h[top:]):
         raise ArithmeticError("h-polynomial exceeds its degree bound e - 2")
     while len(h) > 1 and h[-1] == 0:
         h.pop()

@@ -9,9 +9,9 @@ Aggregation is order-independent, so chunks may be verified in parallel.
 The graph oracle is the edge ideal's own doubling and rank, grown one
 edge at a time: the exhaustive sweep walks each aligned block of edge
 masks depth first and carries that state from parent to child, and random
-mode builds it edge by edge.  The walk also carries the neighbour masks,
-so each connected mask becomes a graph that already holds its adjacency
-and components.  Each matroidal ideal runs one dilation chain.
+mode grows 2A by one sumset-kernel row per edge.  The walk also carries
+the neighbour masks, so each connected mask becomes a graph holding its
+adjacency and components.  Each matroidal ideal runs one dilation chain.
 """
 
 import os
@@ -30,7 +30,6 @@ from .graphs import (
     _four_cycle_shape,
     _has_polynomial_edge_ring,
     _long_walk,
-    _restrict,
     classify_freiman_graph,
     edge_ideal,
     is_polynomial_edge_ring,
@@ -123,26 +122,23 @@ def _edge_step(n, u, v):
 
 def _grow(state, step):
     """The oracle state with one more edge e: e joins A, e + a joins 2A for
-    a in A and a = e, and e joins the basis if anything is left of it after
-    elimination by the basis rows in order (at most n rows, so a full
-    basis stops growing)."""
+    a in A and a = e, and e's row extends the basis."""
     codes, doubling, basis = state
     code, row = step
     codes += (code,)
-    doubling = doubling.union(map(code.__add__, codes))
+    return codes, doubling.union(map(code.__add__, codes)), _extend_basis(basis, row)
+
+
+def _extend_basis(basis, row):
+    """basis, plus row if anything is left of it after elimination by the
+    basis rows in order (at most n rows, so a full basis stops growing)."""
     if len(basis) < len(row):
         for p, b in basis:
             if f := row[p]:
                 row = [b[p] * x - f * y for x, y in zip(row, b)]
         if any(row):
             basis += ((next(j for j, x in enumerate(row) if x), row),)
-    return codes, doubling, basis
-
-
-def _capped(oracle, cap):
-    if len(oracle[1]) > cap:
-        raise ResourceCapError(f"sumset at power 2 exceeds {cap} points", cap)
-    return oracle
+    return basis
 
 
 def _check_graph_instance(g, oracle, tally, cap):
@@ -152,7 +148,9 @@ def _check_graph_instance(g, oracle, tally, cap):
     # the oracle: the edge ideal's own sumset and rank, no classifier fact.
     # Every edge vector lies on x_1 + ... + x_n = 2, which misses the
     # origin, so the rank is the analytic spread (affine dimension + 1).
-    codes, doubling, basis = _capped(oracle, cap)
+    codes, doubling, basis = oracle
+    if len(doubling) > cap:
+        raise ResourceCapError(f"sumset at power 2 exceeds {cap} points", cap)
     profile = fiber_profile((1, len(codes), len(doubling)), len(basis))
     tally.record("graph-classifier-vs-numeric", verdict.freiman == profile.freiman, g)
     tally.record("doubling-h2-nonnegative", profile.h2 >= 0, g)
@@ -199,8 +197,8 @@ def _walk_search_freiman(g, cap):
     if len(nonpoly) != 1:
         return not nonpoly
     mask = nonpoly[0][0]
-    shaped = _four_cycle_shape(g, mask)[1] is not None
-    return shaped and _long_walk(_restrict(g.adjacency, mask), cap) is None
+    shaped = _four_cycle_shape(g, mask) is not None
+    return shaped and _long_walk(g.adjacency, cap, mask) is None
 
 
 def _check_deep_instance(g, ideal, profile, tally, cap):
@@ -330,9 +328,11 @@ def _random_chunk(args):
     tally = _Tally()
     for gd in graph_dicts:
         g = SimpleGraph(gd["n"], frozenset(tuple(e) for e in gd["edges"]))
-        oracle = _NO_EDGES
-        for e in g.edges:  # stop as soon as 2A passes the cap
-            oracle = _capped(_grow(oracle, _edge_step(g.n, *e)), cap)
+        codes, rows = zip(*(_edge_step(g.n, *e) for e in g.edges))
+        # row i adds edge i to edges 0..i: stop at the first 2A over the cap
+        pairs = ((code, codes[: i + 1]) for i, code in enumerate(codes))
+        doubling = _packed_sum(pairs, cap, "sumset at power 2")
+        oracle = (codes, doubling, reduce(_extend_basis, rows, ()))
         _check_graph_instance(g, oracle, tally, cap)
         if g.num_edges <= max_edges:
             _check_matroid_instance(g, tally, cap)
@@ -361,7 +361,7 @@ def _merge_results(results):
 
 
 def _run_chunks(worker, chunk_args, jobs):
-    if jobs <= 1 or len(chunk_args) <= 1:
+    if jobs <= 1:
         return [worker(a) for a in chunk_args]
     from multiprocessing import get_context
 
@@ -384,8 +384,7 @@ def run_verify(
     import time
 
     started = time.perf_counter()
-    if jobs is None:
-        jobs = max(1, min(4, os.cpu_count() or 1))
+    jobs = max(1, min(4 if jobs is None else jobs, os.cpu_count() or 1))
     if mode not in ("exhaustive", "random"):
         raise ValueError("mode must be 'exhaustive' or 'random'")
     # a run that checks no graph must not report all_passed
@@ -408,7 +407,7 @@ def run_verify(
             chunk_args += [
                 (n, lo, lo + step, cap, max_edges, up_to_iso) for lo in range(0, total, step)
             ]
-        results = _run_chunks(_sweep_chunk, chunk_args, jobs)
+        worker = _sweep_chunk
     else:
         cap_vertex_pairs(max_vertices, cap)  # before drawing any graph
         rng = random.Random(seed)
@@ -417,8 +416,9 @@ def run_verify(
         chunk_args = [
             (graphs[lo : lo + step], cap, max_edges) for lo in range(0, len(graphs), step)
         ]
-        results = _run_chunks(_random_chunk, chunk_args, jobs)
+        worker = _random_chunk
 
+    results = _run_chunks(worker, chunk_args, min(jobs, len(chunk_args)))
     tally, graphs_total = _merge_results(results)
     rows = []
     for name in ALL_ROWS:

@@ -9,6 +9,7 @@ scans instead of DFS) so the two sides stay independent.
 import os
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import gcd, lcm
 from pathlib import Path
 
 import freiman
@@ -67,6 +68,42 @@ def brute_rank(vectors):
         r += 1
         rank += 1
     return rank
+
+
+def brute_nullspace(rows, ncols):
+    """Integer basis of the nullspace by Gauss-Jordan on Fractions: one
+    vector per free column, 1 there and 0 at the other free columns,
+    scaled to coprime integers."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []  # (row, col)
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append((r, c))
+        r += 1
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for i, c in pivots:
+            v[c] = -m[i][free]
+        denom = lcm(*(x.denominator for x in v))
+        ints = [int(x * denom) for x in v]
+        g = gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return basis
 
 
 def brute_affine_dim(points):

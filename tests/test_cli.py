@@ -3,15 +3,18 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freiman.cli import _resolve_jobs, main
+from freiman.verify import run_verify
 from helpers import cli_env
 
 C4_JSON = '{"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}'
@@ -169,6 +172,29 @@ def test_invalid_cap_is_a_parse_error(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: --cap") and err.count("\n") == 1
 
 
+# an integer literal with more digits than int() converts (4300)
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, content, env, message",
+    [
+        pytest.param(["graph", "classify"], f'{{"n": {HUGE}, "edges": []}}', None,
+                     "invalid JSON: number too long", id="json-graph"),
+        pytest.param(["ideal", "analyze"], f"[[{HUGE}]]", None,
+                     "invalid JSON: number too long", id="json-ideal"),
+        pytest.param(["graph", "classify"], C4_JSON, HUGE,
+                     "FREIMAN_CAP: number too long", id="cap-env"),
+    ],
+)
+def test_oversized_integers_are_parse_errors(tmp_path, capsys, monkeypatch, argv,
+                                             content, env, message):
+    if env is not None:
+        monkeypatch.setenv("FREIMAN_CAP", env)
+    code, out, err = run_cli([*argv, write(tmp_path, "input.json", content)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_verify_random_needs_two_vertices(capsys):
     code, out, err = run_cli(
         ["verify", "--mode", "random", "--max-vertices", "1", "--count", "3",
@@ -273,21 +299,35 @@ def test_jobs_below_one_is_a_parse_error(capsys, monkeypatch):
 
 
 def test_jobs_are_clamped_to_the_cpu_count(capsys, monkeypatch):
-    cpus = os.cpu_count() or 1
+    # run_verify asks for at most one worker per CPU and per chunk; the
+    # pool is stubbed and runs the chunks here, so no process starts
+    sizes = []
+
+    class Pool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, chunks):
+            return list(map(worker, chunks))
+
+    context = SimpleNamespace(Pool=Pool)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert _resolve_jobs(None) is None
-    assert _resolve_jobs(1) == 1
-    assert _resolve_jobs(10**12) == cpus
-    # the CLI hands run_verify the clamped value; the sweep itself is stubbed
-    seen = []
-
-    def stub(**kwargs):
-        seen.append(kwargs["jobs"])
-        return {"command": "verify", "rows": [], "counterexamples": [], "all_passed": True}
-
-    monkeypatch.setattr("freiman.verify.run_verify", stub)
-    code, _, _ = run_cli(["verify", "--jobs", str(10**12)], capsys)
-    assert code == 0
-    assert seen == [cpus]
+    assert _resolve_jobs(10**12) == 10**12  # clamped by run_verify alone
+    # n = 2 and n = 3 are one chunk each
+    code, _, _ = run_cli(["verify", "--max-vertices", "3", "--jobs", str(10**12)], capsys)
+    assert code == 0 and sizes == [2]
+    report = run_verify(mode="random", max_vertices=4, count=10, jobs=10**6)
+    assert report["all_passed"] and sizes == [2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_verify(max_vertices=3, jobs=10**6)["all_passed"] and sizes == [2, 3]
 
 
 def test_verify_failure_exits_4(tmp_path, capsys, monkeypatch):
@@ -427,6 +467,9 @@ IDEAL_TEXT = st.one_of(
     ),
     st.builds(json.dumps, st.lists(st.lists(st.integers(-1, 3), max_size=4), max_size=6)),
 )
+OVERSIZED_TEXT = st.sampled_from([
+    f'{{"n": {HUGE}, "edges": []}}', f"[[{HUGE}]]", f"x{HUGE}", f"p {HUGE} 0",
+])
 COMMANDS = st.sampled_from([
     ["graph", "classify", "{file}"],
     ["matroid", "classify", "{file}"],
@@ -451,8 +494,11 @@ TOKENS = st.lists(
 @given(
     command=COMMANDS,
     tokens=TOKENS,
-    content=st.one_of(st.text(max_size=40), GRAPH_TEXT, IDEAL_TEXT),
+    content=st.one_of(st.text(max_size=40), GRAPH_TEXT, IDEAL_TEXT, OVERSIZED_TEXT),
 )
+@example(command=["graph", "classify", "{file}"], tokens=[],
+         content=f'{{"n": {HUGE}, "edges": []}}')
+@example(command=["ideal", "analyze", "{file}"], tokens=[], content=f"[[{HUGE}]]")
 def test_every_outcome_is_a_documented_exit_code(tmp_path_factory, command, tokens, content):
     workdir = tmp_path_factory.mktemp("totality")
     path = workdir / "input.txt"

@@ -6,7 +6,7 @@ labeled graph with at most 5 vertices and on seeded random graphs with
 at most 8 vertices."""
 
 import random
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import pytest
 
@@ -20,7 +20,7 @@ from freiman import (
     matroids,
     spanning_forests,
 )
-from freiman.errors import lazy
+from freiman.errors import DEFAULT_CAP, lazy
 from freiman.graphs import _vertices
 from freiman.matroids import cut_vertices, matrix_tree_count
 
@@ -118,6 +118,27 @@ def test_simple_cycles_match_networkx():
             key=lambda c: (len(c), c),
         )
         assert enumerate_simple_cycles(g) == expected, (g.n, g.sorted_edges())
+
+
+def test_simple_cycles_within_a_component_match_the_component_alone():
+    # disjoint unions of two or three random graphs under shuffled labels
+    rng = random.Random(21)
+    found = 0
+    for _ in range(300):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 3))]
+        labels = rng.sample(range(1, sum(sizes) + 1), sum(sizes))
+        edges = set()
+        for start, size in zip(accumulate([0] + sizes), sizes):
+            part = sorted(labels[start : start + size])
+            edges |= {e for e in combinations(part, 2) if rng.random() < 0.6}
+        g = SimpleGraph(len(labels), frozenset(edges))
+        assert len(g.component_colorings) >= len(sizes)
+        for comp, (mask, *_) in zip(graphs.components(g), g.component_colorings):
+            verts = _vertices(mask)
+            alone = [tuple(verts[v - 1] for v in c) for c in enumerate_simple_cycles(comp)]
+            assert graphs._simple_cycles(g.adjacency, DEFAULT_CAP, mask) == alone
+            found += len(alone)
+    assert found > 300
 
 
 def test_matrix_tree_count_matches_networkx():

@@ -1,7 +1,5 @@
 """Exact linear algebra kernels against Fraction-based oracles."""
 
-from fractions import Fraction
-
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,7 +9,7 @@ from freiman.linalg import (
     nullspace_basis,
     positive_nullspace_vector,
 )
-from helpers import brute_rank
+from helpers import brute_nullspace, brute_rank
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -56,14 +54,27 @@ def test_det_by_cofactor_expansion(rows):
     assert integer_det(rows) == cofactor_det(rows)
 
 
-@given(matrices)
-def test_nullspace_vectors_annihilate(rows):
-    ncols = len(rows[0])
+# tall matrices, zero rows and the empty matrix included
+nullspace_cases = st.integers(min_value=1, max_value=5).flatmap(
+    lambda ncols: st.tuples(
+        st.lists(
+            st.one_of(
+                st.just((0,) * ncols),
+                st.tuples(*[st.integers(min_value=-9, max_value=9)] * ncols),
+            ),
+            max_size=12,
+        ),
+        st.just(ncols),
+    )
+)
+
+
+@given(nullspace_cases)
+def test_nullspace_matches_fraction_gauss_jordan(case):
+    rows, ncols = case
     basis = nullspace_basis(rows, ncols)
+    assert basis == brute_nullspace(rows, ncols)
     assert len(basis) == ncols - integer_rank(rows)
-    for vec in basis:
-        for row in rows:
-            assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
 
 
 def test_positive_vector_simple_hyperplane():

@@ -13,6 +13,7 @@ from freiman.cli import main
 from freiman.errors import DEFAULT_CAP, PreconditionError, ResourceCapError, lazy
 from freiman.fiber import is_freiman
 from freiman.graphs import SimpleGraph, edge_ideal
+from freiman.lattice import _packed_sum
 from freiman.linalg import integer_rank
 from freiman.verify import (
     ALL_ROWS,
@@ -253,17 +254,20 @@ def test_random_mode_caps_the_vertex_pairs_before_drawing(monkeypatch, capsys):
 
 
 def test_random_oracle_stops_once_the_doubling_passes_the_cap(monkeypatch):
-    sizes = []
+    drawn = []  # the (edge code, earlier codes) rows the kernel consumed
 
-    def grow(state, step):
-        state = _grow(state, step)
-        sizes.append(len(state[1]))
-        return state
+    def spy(rows, cap, what):
+        def counted():
+            for row in rows:
+                drawn.append(row)
+                yield row
+
+        return _packed_sum(counted(), cap, what)
 
     def no_check(*args):
         raise AssertionError("the graph was checked")
 
-    monkeypatch.setattr(verify, "_grow", grow)
+    monkeypatch.setattr(verify, "_packed_sum", spy)
     monkeypatch.setattr(verify, "_check_graph_instance", no_check)
     k8 = {"n": 8, "edges": [list(e) for e in combinations(range(1, 9), 2)]}
     with pytest.raises(ResourceCapError) as exc:
@@ -271,7 +275,11 @@ def test_random_oracle_stops_once_the_doubling_passes_the_cap(monkeypatch):
     assert str(exc.value) == SUMSET_CAP_MESSAGE.format(50, 50)
     # the first edge whose 2A passes the cap ends the build, well before
     # the 28 edges of K8
-    assert sizes[-1] > 50 >= sizes[-2] and len(sizes) < 28
+    codes = [code for code, _ in drawn]
+    before, after = (
+        len({a + b for a in codes[:k] for b in codes[:k]}) for k in (len(codes) - 1, len(codes))
+    )
+    assert after > 50 >= before and len(codes) < 28
 
 
 def test_verify_counts_match_the_benchmark_record():
