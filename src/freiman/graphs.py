@@ -13,7 +13,7 @@ c - (s - 1) <= [it is not bipartite].  By blocks (Whitney): a block with
 no H edge that is not a cycle holds a theta, hence a long even cycle;
 odd cycles in two blocks share at most one vertex; and one ear on the
 block of H adds only odd cycles or long even ones, two ears a long even
-one.  So only a false verdict's witness searches cycles.
+one.  So only a false verdict's witness searches cycles, block by block.
 
 Every graph algorithm here runs on int vertex masks: bit v of a mask is
 set iff vertex v belongs to the set.
@@ -42,8 +42,8 @@ class SimpleGraph(Record):
                                 of edges
       four_cycle_adjacency   -- neighbour masks, as in adjacency, of the
                                 union H of all 4-cycles
-      cut_structure          -- (frozenset of cut vertices, number of
-                                blocks), from one lowpoint DFS
+      blocks                 -- one vertex mask per block (maximal 2-connected
+                                subgraph or bridge), from one lowpoint DFS
       forest_count           -- number of spanning forests (matrix-tree)
       _forests               -- the spanning forests themselves; read them
                                 through matroids.spanning_forests, which
@@ -96,8 +96,8 @@ class SimpleGraph(Record):
         return _four_cycle_union_edges(self.adjacency)
 
     @lazy
-    def cut_structure(self):
-        return _lowpoint_dfs(self.adjacency)
+    def blocks(self):
+        return _blocks(self.adjacency)
 
     @lazy
     def forest_count(self):
@@ -218,21 +218,21 @@ def cyclomatic_number(g: SimpleGraph) -> int:
     return g.num_edges - g.n + len(g.component_colorings)
 
 
-def _lowpoint_dfs(adj):
-    """(cut vertices, number of blocks), via iterative depth-first
-    lowpoints: a tree edge (p, u) closes a block when low[u] >= disc[p],
-    and p is then a cut vertex unless it is a root with one child.  Both
-    are graph invariants, so the visiting order does not matter."""
+def _blocks(adj):
+    """Vertex masks of the blocks, by iterative depth-first lowpoints: a
+    tree edge (p, u) closes a block, p plus the vertices visited since u,
+    when low[u] >= disc[p].  Isolated vertices lie in no block.  Blocks
+    share at most one vertex, so a block's edges are those its mask induces."""
     disc = [0] * len(adj)  # 0 until visited; visit numbers start at 1
     low = [0] * len(adj)
-    points = set()
-    blocks = t = 0
+    blocks = []
+    visited = []  # visited vertices whose block is still open
+    t = 0
     for start in range(1, len(adj)):
         if disc[start]:
             continue
         t += 1
         disc[start] = low[start] = t
-        root_children = 0
         stack = [[start, 0, adj[start]]]  # vertex, parent, unscanned neighbours
         while stack:
             top = stack[-1]
@@ -243,10 +243,10 @@ def _lowpoint_dfs(adj):
                 w = low_bit.bit_length() - 1
                 if not disc[w]:
                     top[2] = rest
-                    root_children += u == start
                     t += 1
                     disc[w] = low[w] = t
                     stack.append([w, u, adj[w]])
+                    visited.append(w)
                     break
                 if w != parent:
                     low[u] = min(low[u], disc[w])
@@ -256,12 +256,11 @@ def _lowpoint_dfs(adj):
                     p = stack[-1][0]
                     low[p] = min(low[p], low[u])
                     if low[u] >= disc[p]:
-                        blocks += 1
-                        if p != start:
-                            points.add(p)
-        if root_children >= 2:
-            points.add(start)
-    return frozenset(points), blocks
+                        block = 1 << p
+                        while not block >> u & 1:
+                            block |= 1 << visited.pop()
+                        blocks.append(block)
+    return tuple(blocks)
 
 
 def is_bipartite(g: SimpleGraph):
@@ -276,30 +275,35 @@ def is_bipartite(g: SimpleGraph):
     return (frozenset(_vertices(part_a)), frozenset(_vertices(part_b)))
 
 
-def _simple_cycles(adj, cap, within):
-    """All simple cycles of the subgraph induced on the vertex mask
-    within, each once, as canonical vertex tuples: smallest vertex first,
-    then its smaller cycle-neighbor.  DFS path extension rooted at the
-    minimum vertex of each cycle."""
+def _simple_cycles(g, cap, within):
+    """All simple cycles of g inside the vertex mask within, which is
+    always a union of components, each once, as canonical vertex tuples:
+    smallest vertex first, then its smaller cycle-neighbor.  Every cycle
+    lies in one block, so DFS path extension, rooted at the minimum vertex
+    of each cycle, runs inside each block of within with >= 3 vertices."""
+    adj = g.adjacency
     cycles = []
-    for root in _vertices(within):
-        above = within & -1 << root + 1  # the path uses only vertices > root
-        if (adj[root] & above).bit_count() < 2:
-            continue  # no cycle has root as its smallest vertex
-        stack = [(root, (root,), 1 << root)]
-        while stack:
-            u, path, on_path = stack.pop()
-            nbrs = adj[u]
-            if nbrs >> root & 1 and len(path) >= 3 and path[1] < u:
-                cycles.append(path)
-                if len(cycles) > cap:
-                    raise ResourceCapError(f"more than {cap} simple cycles", cap)
-            rest = nbrs & above & ~on_path
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                w = low.bit_length() - 1
-                stack.append((w, path + (w,), on_path | low))
+    for block in g.blocks:
+        if block & ~within or block.bit_count() < 3:
+            continue
+        for root in _vertices(block):
+            above = block & -1 << root + 1  # the path uses only vertices > root
+            if (adj[root] & above).bit_count() < 2:
+                continue  # no cycle has root as its smallest vertex
+            stack = [(root, (root,), 1 << root)]
+            while stack:
+                u, path, on_path = stack.pop()
+                nbrs = adj[u]
+                if nbrs >> root & 1 and len(path) >= 3 and path[1] < u:
+                    cycles.append(path)
+                    if len(cycles) > cap:
+                        raise ResourceCapError(f"more than {cap} simple cycles", cap)
+                rest = nbrs & above & ~on_path
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    w = low.bit_length() - 1
+                    stack.append((w, path + (w,), on_path | low))
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 
@@ -307,7 +311,7 @@ def _simple_cycles(adj, cap, within):
 def enumerate_simple_cycles(g: SimpleGraph, cap=None) -> list:
     """Every simple cycle exactly once up to rotation and reflection,
     canonicalized and sorted by (length, vertex sequence)."""
-    return _simple_cycles(g.adjacency, effective_cap(cap), (1 << g.n + 1) - 2)
+    return _simple_cycles(g, effective_cap(cap), (1 << g.n + 1) - 2)
 
 
 def _has_polynomial_edge_ring(mask, sides, edges):
@@ -379,7 +383,7 @@ def has_long_primitive_even_walk(g: SimpleGraph, cap=None):
     """
     if len(g.component_colorings) != 1:
         raise PreconditionError("primitive-walk search requires a connected graph")
-    return _long_walk(g.adjacency, effective_cap(cap), g.component_colorings[0][0])
+    return _long_walk(g, effective_cap(cap), g.component_colorings[0][0])
 
 
 def edge_ideal(g: SimpleGraph) -> MonomialIdeal:
@@ -410,8 +414,8 @@ def _classify_connected(g, mask, sides, edges):
     return False, "witness-long-walk"
 
 
-def _long_walk(adj, cap, within):
-    cycles = _simple_cycles(adj, cap, within)
+def _long_walk(g, cap, within):
+    cycles = _simple_cycles(g, cap, within)
     odd = []
     for c in cycles:
         if len(c) % 2 == 0:
@@ -447,7 +451,7 @@ def classify_freiman_graph(g: SimpleGraph, cap=None) -> GraphVerdict:
         if freiman:
             return GraphVerdict(True, reason)
         if reason == "witness-long-walk":
-            witness = _long_walk(g.adjacency, effective_cap(cap), comps[0][0])
+            witness = _long_walk(g, effective_cap(cap), comps[0][0])
         else:  # every 4-cycle lies in the one component with edges
             edges = _mask_edges(g.four_cycle_adjacency)
             witness = {"four_cycle_union": [list(e) for e in edges]}

@@ -43,17 +43,18 @@ class MatroidVerdict(Record):
 
 
 def matrix_tree_count(g: SimpleGraph) -> int:
-    """Number of spanning forests: the product over components of reduced
-    Laplacian determinants.  Read it as the cached g.forest_count."""
+    """Number of spanning forests, one spanning tree per block: the product
+    of reduced Laplacian determinants over the blocks with >= 3 vertices,
+    as a bridge is its own only tree.  Read it as g.forest_count."""
     adj = g.adjacency
     total = 1
-    for mask, _, edges in g.component_colorings:
-        if not edges:
-            continue  # an isolated vertex has one spanning forest
-        verts = _vertices(mask)
-        reduced = [[-(adj[v] >> w & 1) for w in verts[:-1]] for v in verts[:-1]]
-        for i, v in enumerate(verts[:-1]):
-            reduced[i][i] = adj[v].bit_count()
+    for block in g.blocks:
+        if block.bit_count() < 3:
+            continue  # a bridge
+        verts = _vertices(block)[:-1]
+        reduced = [[-(adj[v] >> w & 1) for w in verts] for v in verts]
+        for i, v in enumerate(verts):
+            reduced[i][i] = (adj[v] & block).bit_count()
         total *= integer_det(reduced)
     return total
 
@@ -156,26 +157,25 @@ def _build_matroidal_ideal(g: SimpleGraph) -> MonomialIdeal:
 
 
 def cut_vertices(g: SimpleGraph) -> frozenset:
-    """Articulation points, via iterative depth-first lowpoints."""
-    return g.cut_structure[0]
+    """Articulation points: the vertices that lie in two or more blocks."""
+    seen = shared = 0
+    for block in g.blocks:
+        shared |= seen & block
+        seen |= block
+    return frozenset(_vertices(shared))
 
 
 def matroid_spread_formula(g: SimpleGraph) -> int:
-    """Analytic spread of the matroidal ideal, e - b + 1 with b the number
-    of blocks: M(g) is the direct sum of the cycle matroids of its blocks
-    (Whitney 1932), so its base ring is their Segre product and each
-    block beyond the first lowers the dimension by one.  (For the star on
-    four vertices, three blocks, the spread is 1.)  Reduces to e on
-    2-connected graphs.
+    """Analytic spread of the matroidal ideal, e - b + 1 with b =
+    len(g.blocks): M(g) is the direct sum of the cycle matroids of its
+    blocks (Whitney 1932), so its base ring is their Segre product and
+    each block beyond the first lowers the dimension by one.  (For the
+    star on four vertices, three blocks, the spread is 1.)  Reduces to e
+    on 2-connected graphs.
     """
     if not g.edges:
         raise PreconditionError("spread formula needs at least one edge")
-    return g.num_edges - g.cut_structure[1] + 1
-
-
-def is_two_connected(g: SimpleGraph) -> bool:
-    """Connected with no cut vertex (and at least one edge)."""
-    return len(g.component_colorings) == 1 and bool(g.edges) and not cut_vertices(g)
+    return g.num_edges - len(g.blocks) + 1
 
 
 def classify_freiman_matroid(g: SimpleGraph, cap=None) -> MatroidVerdict:

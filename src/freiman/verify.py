@@ -39,7 +39,6 @@ from .matroids import (
     base_ring_regularity,
     classify_freiman_matroid,
     cut_vertices,
-    is_two_connected,
     matroidal_ideal,
     spanning_forests,
 )
@@ -198,7 +197,7 @@ def _walk_search_freiman(g, cap):
         return not nonpoly
     mask = nonpoly[0][0]
     shaped = _four_cycle_shape(g, mask) is not None
-    return shaped and _long_walk(g.adjacency, cap, mask) is None
+    return shaped and _long_walk(g, cap, mask) is None
 
 
 def _check_deep_instance(g, ideal, profile, tally, cap):
@@ -259,13 +258,10 @@ def _check_matroid_instance(g, tally, cap):
     elif g.num_edges <= REGULARITY_MAX_EDGES:
         try:
             reg = base_ring_regularity(g, cap=cap)
-            e = g.num_edges
-            if is_two_connected(g):
-                ok = 3 <= reg <= e - 1
-            else:
-                c = len(cut_vertices(g))
-                s = sum(1 for *_, edges in g.component_colorings if edges)
-                ok = 3 <= reg <= e - c - s
+            # c = 0 and s = 1 on a 2-connected graph: the bound is e - 1
+            c = len(cut_vertices(g))
+            s = sum(1 for *_, edges in g.component_colorings if edges)
+            ok = 3 <= reg <= g.num_edges - c - s
             tally.record("matroid-regularity-bounds", ok, g)
         except ResourceCapError:
             tally.skip("matroid-regularity-bounds")

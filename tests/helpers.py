@@ -174,13 +174,41 @@ def brute_articulation_points(g: SimpleGraph):
     return points
 
 
+def component_matrix_tree(g: SimpleGraph):
+    """Number of spanning forests: the product over components of reduced
+    Laplacian determinants, each by Gauss elimination on Fractions."""
+    total = Fraction(1)
+    for comp in freiman.components(g):
+        size = comp.n - 1
+        lap = [[Fraction(0)] * size for _ in range(size)]
+        for u, v in comp.edges:
+            for a, b in ((u, v), (v, u)):
+                if a <= size:
+                    lap[a - 1][a - 1] += 1
+                    if b <= size:
+                        lap[a - 1][b - 1] -= 1
+        for c in range(size):
+            piv = next(i for i in range(c, size) if lap[i][c])  # nonsingular
+            lap[c], lap[piv] = lap[piv], lap[c]
+            total *= lap[c][c] * (-1 if piv != c else 1)
+            for i in range(c + 1, size):
+                f = lap[i][c] / lap[c][c]
+                lap[i] = [x - f * y for x, y in zip(lap[i], lap[c])]
+    return int(total)
+
+
 def walk_search_freiman(g: SimpleGraph):
-    """The paper's statement for a connected graph g, by the walk search:
-    g is Freiman iff its edge ring is a polynomial ring, or its 4-cycle
-    union H is K(2,s) and no primitive even closed walk is longer than 4.
-    An empty H goes through the search too.  H, on s + 2 >= 4 vertices,
-    is K(2,s) iff it has 2s edges and they join some vertex pair a, b to
-    all other vertices."""
+    """The paper's statement, by the walk search: every component is
+    Freiman and at most one has a non-polynomial edge ring.  A connected
+    graph is Freiman iff its edge ring is a polynomial ring, or its
+    4-cycle union H is K(2,s) and no primitive even closed walk is longer
+    than 4.  An empty H goes through the search too.  H, on s + 2 >= 4
+    vertices, is K(2,s) iff it has 2s edges and they join some vertex
+    pair a, b to all other vertices."""
+    if len(g.component_colorings) > 1:
+        comps = freiman.components(g)
+        nonpoly = [c for c in comps if not freiman.is_polynomial_edge_ring(c)]
+        return len(nonpoly) <= 1 and all(map(walk_search_freiman, nonpoly))
     if freiman.is_polynomial_edge_ring(g):
         return True
     h = freiman.four_cycle_union_subgraph(g).edges
@@ -225,6 +253,38 @@ def complete_bipartite(a, b):
     left = range(1, a + 1)
     right = range(a + 1, a + b + 1)
     return graph(a + b, [(u, v) for u in left for v in right])
+
+
+def pentagon_chain(t):
+    """t pentagons, each glued to the next at one vertex: 4t + 1 vertices,
+    5t edges, t cycles and no 4-cycle."""
+    edges = []
+    for i in range(0, 4 * t, 4):
+        ring = range(i + 1, i + 6)
+        edges += zip(ring, [*ring[1:], ring[0]])
+    return graph(4 * t + 1, edges)
+
+
+def generalized_petersen(n, k):
+    """GP(n, k): the outer cycle 1..n, spokes i - (n + i), and the inner
+    edges (n + i) - (n + (i + k) mod n)."""
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(i, n + i) for i in range(1, n + 1)]
+    edges += [(n + i, n + (i + k - 1) % n + 1) for i in range(1, n + 1)]
+    return graph(2 * n, edges)
+
+
+def cactus_graph(rng, sizes, isolated=0):
+    """A seeded cactus: one block per entry of sizes, a bridge for 2 and a
+    cycle of that length otherwise, each hung at a random vertex of the
+    blocks before it; then isolated vertices, and all labels shuffled."""
+    n, edges = 1, []
+    for size in sizes:
+        ring = [rng.randint(1, n), *range(n + 1, n + size)]
+        edges += zip(ring, ring[1:] + ring[:1])
+        n += size - 1
+    labels = rng.sample(range(1, n + isolated + 1), n + isolated)
+    return graph(n + isolated, [(labels[u - 1], labels[v - 1]) for u, v in edges])
 
 
 def bowtie():

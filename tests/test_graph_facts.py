@@ -1,9 +1,10 @@
 """Differential tests of the graph facts SimpleGraph derives (adjacency
 masks, components and their 2-colorings, cut vertices and blocks, the
 4-cycle union, simple cycles, the matrix-tree count, the spanning
-forests) against networkx and a brute-force 4-cycle scan, on every
-labeled graph with at most 5 vertices and on seeded random graphs with
-at most 8 vertices."""
+forests) against networkx, a brute-force 4-cycle scan and a
+per-component matrix-tree count, on every labeled graph with at most 5
+vertices, on seeded random graphs with at most 8 vertices, and on seeded
+cacti."""
 
 import random
 from itertools import accumulate, combinations, permutations
@@ -23,6 +24,7 @@ from freiman import (
 from freiman.errors import DEFAULT_CAP, lazy
 from freiman.graphs import _vertices
 from freiman.matroids import cut_vertices, matrix_tree_count
+from helpers import cactus_graph, component_matrix_tree
 
 nx = pytest.importorskip("networkx")
 
@@ -46,6 +48,19 @@ def _random_graphs(count, max_n, seed):
 
 
 GRAPHS = list(_all_graphs(5)) + list(_random_graphs(200, 8, seed=20))
+
+
+def _cacti(count, seed):
+    """Cycles of length 3..7 and bridges, half of them bridge-heavy, with
+    up to two isolated vertices."""
+    rng = random.Random(seed)
+    for i in range(count):
+        sizes = (2, 2, 2, 3, 4) if i % 2 else (2, 3, 4, 5, 6, 7)
+        blocks = [rng.choice(sizes) for _ in range(rng.randint(1, 8))]
+        yield cactus_graph(rng, blocks, isolated=rng.randint(0, 2))
+
+
+CACTI = list(_cacti(200, seed=19))
 
 
 def _to_nx(g):
@@ -76,10 +91,10 @@ def test_graph_facts_match_networkx():
         ), where
         assert (is_bipartite(g) is not None) == nx.is_bipartite(G), where
         assert cut_vertices(g) == set(nx.articulation_points(G)), where
-        blocks = len(list(nx.biconnected_components(G)))
-        assert g.cut_structure[1] == blocks, where
+        blocks = sorted(map(sorted, nx.biconnected_components(G)))
+        assert sorted(list(_vertices(mask)) for mask in g.blocks) == blocks, where
         if g.edges:
-            assert matroid_spread_formula(g) == g.num_edges - blocks + 1, where
+            assert matroid_spread_formula(g) == g.num_edges - len(blocks) + 1, where
         assert four_cycle_union_subgraph(g).edges == _brute_four_cycle_union(g), where
 
 
@@ -112,7 +127,7 @@ def test_adjacency_masks_give_back_the_edges():
 
 
 def test_simple_cycles_match_networkx():
-    for g in GRAPHS:
+    for g in GRAPHS + CACTI:
         expected = sorted(
             (_canonical_cycle(c) for c in nx.simple_cycles(_to_nx(g))),
             key=lambda c: (len(c), c),
@@ -136,7 +151,7 @@ def test_simple_cycles_within_a_component_match_the_component_alone():
         for comp, (mask, *_) in zip(graphs.components(g), g.component_colorings):
             verts = _vertices(mask)
             alone = [tuple(verts[v - 1] for v in c) for c in enumerate_simple_cycles(comp)]
-            assert graphs._simple_cycles(g.adjacency, DEFAULT_CAP, mask) == alone
+            assert graphs._simple_cycles(g, DEFAULT_CAP, mask) == alone
             found += len(alone)
     assert found > 300
 
@@ -150,6 +165,20 @@ def test_matrix_tree_count_matches_networkx():
                 expected *= round(nx.number_of_spanning_trees(G.subgraph(verts)))
         assert matrix_tree_count(g) == expected, (g.n, g.sorted_edges())
         assert g.forest_count == expected
+
+
+def test_cactus_blocks_and_cut_vertices_match_networkx():
+    for g in CACTI:
+        G = _to_nx(g)
+        where = (g.n, g.sorted_edges())
+        blocks = sorted(map(sorted, nx.biconnected_components(G)))
+        assert sorted(list(_vertices(mask)) for mask in g.blocks) == blocks, where
+        assert cut_vertices(g) == set(nx.articulation_points(G)), where
+
+
+def test_block_matrix_tree_count_equals_the_component_count():
+    for g in GRAPHS + CACTI:
+        assert g.forest_count == component_matrix_tree(g), (g.n, g.sorted_edges())
 
 
 def test_spanning_forests_match_networkx():
@@ -211,7 +240,7 @@ FACT_HELPERS = {
     "adjacency": (graphs, "_adjacency"),
     "component_colorings": (graphs, "_component_layers"),
     "four_cycle_adjacency": (graphs, "_four_cycle_union_edges"),
-    "cut_structure": (graphs, "_lowpoint_dfs"),
+    "blocks": (graphs, "_blocks"),
     "forest_count": (matroids, "matrix_tree_count"),
     "_forests": (matroids, "_enumerate_forests"),
     "_matroidal_ideal": (matroids, "_build_matroidal_ideal"),

@@ -1,6 +1,7 @@
 """Graph structure, cycle enumeration, and the Freiman-graph classifier."""
 
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -26,11 +27,14 @@ from freiman.errors import PreconditionError, ResourceCapError
 from helpers import (
     bowtie,
     brute_simple_cycles,
+    cactus_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    generalized_petersen,
     graph,
     path_graph,
+    pentagon_chain,
     walk_search_freiman,
 )
 
@@ -90,6 +94,26 @@ def test_cycles_canonical_form():
     for c in enumerate_simple_cycles(complete_graph(5)):
         assert c[0] == min(c)
         assert c[1] < c[-1]
+
+
+def test_cycles_of_a_pentagon_chain_take_bounded_work():
+    started = time.perf_counter()
+    cycles = enumerate_simple_cycles(pentagon_chain(40))
+    assert cycles == [tuple(range(i + 1, i + 6)) for i in range(0, 160, 4)]
+    assert time.perf_counter() - started < 5.0
+
+
+def test_classify_pentagon_chain_takes_bounded_work():
+    g = pentagon_chain(22)
+    started = time.perf_counter()
+    verdict = classify_freiman_graph(g)
+    assert time.perf_counter() - started < 5.0
+    assert (verdict.freiman, verdict.reason) == (False, "witness-long-walk")
+    assert verdict.witness == {
+        "kind": "odd-cycles-sharing-one-vertex",
+        "cycles": [[1, 2, 3, 4, 5], [5, 6, 7, 8, 9]],
+    }
+    assert not is_freiman(edge_ideal(g)).freiman
 
 
 def test_cycles_cap():
@@ -290,11 +314,19 @@ def test_closed_form_matches_walk_search_on_small_graphs():
     assert (checked, nonbipartite) == (23_339, 21_531)
 
 
-def boundary_graph(rng):
-    """A connected graph on 8..16 vertices: K(2,s) with up to four
-    attachments, each an ear of length 1-4 between two vertices, an odd
-    or even cycle hung at one vertex, or a pendant tree; pendant
-    vertices pad it to 8."""
+def _pad_to_eight(rng, n, edges):
+    """The graph on n vertices with edges, padded to 8 vertices by
+    pendant vertices."""
+    while n < 8:
+        n += 1
+        edges.add((rng.randint(1, n - 1), n))
+    return graph(n, edges)
+
+
+def _k2s_with_attachments(rng):
+    """K(2,s) with up to four attachments, each an ear of length 1-4
+    between two vertices, an odd or even cycle hung at one vertex, or a
+    pendant tree."""
     n = rng.randint(2, 5) + 2
     edges = {(a, x) for a in (1, 2) for x in range(3, n + 1)}
 
@@ -315,10 +347,76 @@ def boundary_graph(rng):
             for w in new:
                 add_path([rng.randint(1, w - 1), w])
         n += len(new)
-    while n < 8:
-        n += 1
-        add_path([rng.randint(1, n - 1), n])
-    return graph(n, edges)
+    return _pad_to_eight(rng, n, edges)
+
+
+def _cactus_chain(rng):
+    """Odd and even cycles of length 3-6 glued at cut vertices, with a
+    bridge at the end if a cycle would pass 16 vertices."""
+    target, n, sizes = rng.randint(8, 16), 1, []
+    while n < target:
+        sizes.append(min(rng.randint(3, 6), 17 - n))
+        n += sizes[-1] - 1
+    return cactus_graph(rng, sizes)
+
+
+def _second_component(rng):
+    """Two cycles glued at a vertex, beside a second non-polynomial
+    component: C4, C6 or a bowtie."""
+    first = cactus_graph(rng, [rng.randint(3, 5), rng.randint(3, 5)])
+    second = cactus_graph(rng, rng.choice([[4], [6], [3, 3]]))
+    n = first.n + second.n
+    labels = rng.sample(range(1, n + 1), n)
+    edges = first.sorted_edges()
+    edges += [(u + first.n, v + first.n) for u, v in second.sorted_edges()]
+    return graph(n, [(labels[u - 1], labels[v - 1]) for u, v in edges])
+
+
+def _joined_odd_cycles(rng):
+    """Odd cycles of lengths a and b joined by a path of length d; at
+    d = 0 they share a vertex."""
+    a, b = rng.choice((3, 5, 7)), rng.choice((3, 5, 7))
+    s = a + rng.randint(0, min(5, 17 - a - b))  # the second cycle's first vertex
+    edges = {(i, i % a + 1) for i in range(1, a + 1)} | {(s, s + b - 1)}
+    edges |= {(v, v + 1) for v in range(a, s + b - 1)}  # the path, then the cycle
+    return _pad_to_eight(rng, s + b - 1, edges)
+
+
+def _girth_five(rng):
+    """One in ten is GP(5,2), GP(7,2) or GP(8,3); the rest are random trees
+    on 8..16 vertices plus up to six edges that close no cycle shorter
+    than 5."""
+    if rng.random() < 0.1:
+        return generalized_petersen(*rng.choice([(5, 2), (7, 2), (8, 3)]))
+    n = rng.randint(8, 16)
+    adj = {v: set() for v in range(1, n + 1)}
+    for v in range(2, n + 1):
+        u = rng.randint(1, v - 1)
+        adj[u].add(v)
+        adj[v].add(u)
+    for _ in range(rng.randint(0, 6)):
+        u, v = rng.sample(range(1, n + 1), 2)
+        near = {u}
+        for _ in range(3):  # the vertices within distance 3 of u
+            near |= {w for x in near for w in adj[x]}
+        if v not in near:
+            adj[u].add(v)
+            adj[v].add(u)
+    return graph(n, [(u, v) for u in adj for v in adj[u] if u < v])
+
+
+BOUNDARY_FAMILIES = {
+    "k2s-with-attachments": _k2s_with_attachments,
+    "cactus-chain": _cactus_chain,
+    "second-component": _second_component,
+    "joined-odd-cycles": _joined_odd_cycles,
+    "girth-five": _girth_five,
+}
+
+
+def boundary_graph(rng, family="k2s-with-attachments"):
+    """A seeded graph on 8..16 vertices from one of BOUNDARY_FAMILIES."""
+    return BOUNDARY_FAMILIES[family](rng)
 
 
 def test_closed_form_on_the_boundary_corpus():
@@ -336,6 +434,43 @@ def test_closed_form_on_the_boundary_corpus():
     assert outcomes[True, "K2s-with-short-walks"] > 0
     assert outcomes[False, "K2s-with-short-walks"] > 0
     assert outcomes[False, "witness-long-walk"] > 0
+
+
+LONG_WALK = (False, "witness-long-walk")
+SHARED = (*LONG_WALK, "odd-cycles-sharing-one-vertex")
+DISJOINT = (*LONG_WALK, "disjoint-odd-cycles")
+EVEN = (*LONG_WALK, "even-cycle")
+
+# family -> (seed, graphs, every (freiman, reason, witness kind) it hits)
+FAMILY_OUTCOMES = {
+    # a 4-cycle is H = K(2,2); beside one odd cycle it is Freiman, and two
+    # 4-cycles make H no K(2,s).  Cycles share at most one vertex
+    "cactus-chain": (19, 1500, {
+        (True, "K2s-with-short-walks", None), (False, "K2s-with-short-walks", None),
+        SHARED, DISJOINT, EVEN,
+    }),
+    "second-component": (20, 500, {(False, "component-rule", None)}),
+    "joined-odd-cycles": (21, 500, {SHARED, DISJOINT}),
+    # no 4-cycle, so H is empty: a tree or one odd cycle is a polynomial
+    # ring, anything else has a long walk, mostly an even cycle
+    "girth-five": (22, 1500, {(True, "no-primitive-walks", None), SHARED, EVEN}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_OUTCOMES))
+def test_closed_form_on_the_boundary_families(family):
+    seed, count, expected = FAMILY_OUTCOMES[family]
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for _ in range(count):
+        g = boundary_graph(rng, family)
+        assert 8 <= g.n <= 16, g
+        verdict = classify_freiman_graph(g)
+        assert verdict.freiman == is_freiman(edge_ideal(g)).freiman, g
+        assert verdict.freiman == walk_search_freiman(g), g
+        kind = verdict.witness.get("kind") if verdict.witness else None
+        outcomes[verdict.freiman, verdict.reason, kind] += 1
+    assert set(outcomes) == expected, outcomes
 
 
 def test_classify_isolated_vertices_ignored():

@@ -1,6 +1,8 @@
 """Spanning forests, matroidal ideals, the one-cycle rule, spread
 formulas, and base-ring regularity."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,6 +185,17 @@ def test_cut_vertices_examples():
     assert cut_vertices(bowtie()) == {3}
     assert cut_vertices(path_graph(4)) == {2, 3}
     assert cut_vertices(graph(4, [(1, 2), (1, 3), (1, 4)])) == {1}
+
+
+def test_long_path_takes_no_determinant():
+    # 1,199 bridges, each its own block's only spanning tree
+    started = time.perf_counter()
+    g = path_graph(1200)
+    assert g.forest_count == 1
+    assert len(cut_vertices(g)) == 1198
+    verdict = classify_freiman_matroid(g)
+    assert verdict.freiman and verdict.spread_formula == verdict.spread_numeric == 1
+    assert time.perf_counter() - started < 5.0
 
 
 def test_spread_formula_examples():

@@ -341,8 +341,8 @@ FACTS = sorted(name for name, v in vars(SimpleGraph).items() if isinstance(v, la
 
 def test_walk_graphs_equal_validated_graphs(monkeypatch):
     assert FACTS == [
-        "_forests", "_matroidal_ideal", "adjacency", "component_colorings",
-        "cut_structure", "forest_count", "four_cycle_adjacency",
+        "_forests", "_matroidal_ideal", "adjacency", "blocks",
+        "component_colorings", "forest_count", "four_cycle_adjacency",
     ]
     seen = [item for n in range(2, 6) for item in _walk_graphs(monkeypatch, n)]
     assert len(seen) == 771
