@@ -9,7 +9,7 @@ are exact integers.
 
 from math import comb
 
-from .errors import Record
+from .errors import Record, ResourceCapError, effective_cap
 from .ideals import MonomialIdeal, with_witness
 from .lattice import _dilations, affine_dim, generalized_lower_bound
 
@@ -118,9 +118,13 @@ class GrowthReport(Record):
 def check_growth_identities(ideal: MonomialIdeal, max_power: int, cap=None) -> GrowthReport:
     """For each 2 <= k <= max_power, report whether mu(I^k) meets the
     generalized lower bound with equality, and the value and sign of the
-    tail partial sum of h-entries that measures the excess."""
+    tail partial sum of h-entries that measures the excess.  These take
+    K(K+1)/2 binomial terms for K = max_power; over 8 * cap are refused first."""
     if max_power < 2:
         raise ValueError("max_power must be >= 2")
+    cap = effective_cap(cap)
+    if (terms := max_power * (max_power + 1) // 2) > 8 * cap:
+        raise ResourceCapError(f"{terms} binomial terms up to power {max_power}", cap)
     ideal = with_witness(ideal)
     mu = mu_series(ideal, max_power, cap=cap)
     return _growth(mu, affine_dim(ideal.generators) + 1)

@@ -13,7 +13,6 @@ from .errors import PreconditionError, Record, ResourceCapError, effective_cap
 from .fiber import h_vector, mu_series
 from .graphs import SimpleGraph, _component_layers, _vertices, cyclomatic_number
 from .ideals import MonomialIdeal, _fresh_ideal
-from .lattice import affine_dim
 from .linalg import integer_det
 
 
@@ -34,12 +33,12 @@ class CycleMatroid(Record):
 
 
 class MatroidVerdict(Record):
-    """Freiman verdict for a cycle matroid with its cross-check numbers."""
+    """Closed-form Freiman verdict for a cycle matroid.  The numeric spread
+    that checks spread_formula is the oracle's, not the verdict's."""
 
     freiman: bool
     total_cycles_bound: int   # e - n + s, the number of independent cycles
     spread_formula: int       # e - b + 1, b blocks
-    spread_numeric: int       # affine-hull rank of the basis vectors + 1
 
 
 def matrix_tree_count(g: SimpleGraph) -> int:
@@ -96,28 +95,32 @@ def _enumerate_forests(g: SimpleGraph) -> tuple:
     rank = g.n - parts
     everyone = (1 << g.n + 1) - 2
     forests = []
-    # edge index, taken edges, per-vertex tree masks, kept neighbour masks
-    stack = [(0, (), tuple(1 << v for v in range(g.n + 1)), g.adjacency)]
+    # edge index, taken edges, per-vertex tree names, per-name tree masks,
+    # kept neighbour masks
+    verts = range(g.n + 1)
+    stack = [(0, (), tuple(verts), tuple(1 << v for v in verts), g.adjacency)]
     while stack:
-        i, taken, trees, kept = stack.pop()
+        i, taken, names, trees, kept = stack.pop()
         if len(taken) == rank:
             forests.append(taken)
             continue
         u, w = ground[i]
-        if trees[u] >> w & 1:  # closes a cycle, so it is left out
-            stack.append((i + 1, taken, trees, kept))
+        a, b = names[u], names[w]
+        if a == b:  # closes a cycle, so it is left out
+            stack.append((i + 1, taken, names, trees, kept))
             continue
         if rank - len(taken) < len(ground) - i:
             without = list(kept)
             without[u] ^= 1 << w
             without[w] ^= 1 << u
             if len(_component_layers(without, everyone)) == parts:
-                stack.append((i + 1, taken, trees, without))
-        merged = trees[u] | trees[w]
-        joined = list(trees)
-        for v in _vertices(merged):
-            joined[v] = merged
-        stack.append((i + 1, taken + (i,), joined, kept))
+                stack.append((i + 1, taken, names, trees, without))
+        big, small = (a, b) if trees[a].bit_count() >= trees[b].bit_count() else (b, a)
+        renamed, joined = list(names), list(trees)
+        for v in _vertices(trees[small]):  # rename the smaller tree only
+            renamed[v] = big
+        joined[big] |= trees[small]
+        stack.append((i + 1, taken + (i,), renamed, joined, kept))
     if len(forests) != g.forest_count:
         raise ArithmeticError(
             f"forest enumeration found {len(forests)}, matrix-tree says {g.forest_count}"
@@ -178,22 +181,14 @@ def matroid_spread_formula(g: SimpleGraph) -> int:
     return g.num_edges - len(g.blocks) + 1
 
 
-def classify_freiman_matroid(g: SimpleGraph, cap=None) -> MatroidVerdict:
+def classify_freiman_matroid(g: SimpleGraph) -> MatroidVerdict:
     """The cycle matroid is Freiman iff g contains at most one independent
     cycle (e - n + s <= 1), iff its base ring is a polynomial ring.  The
-    verdict carries the numeric spread cross-check; an edgeless graph is
-    trivially Freiman with zeroed spread fields."""
+    verdict is closed form: it builds no forest and no ideal, so it takes
+    no cap.  An edgeless graph is trivially Freiman with spread 0."""
     bound = cyclomatic_number(g)
-    if not g.edges:
-        return MatroidVerdict(True, bound, 0, 0)
-    ideal = matroidal_ideal(g, cap=cap)
-    numeric = affine_dim(ideal.generators) + 1
-    return MatroidVerdict(
-        freiman=bound <= 1,
-        total_cycles_bound=bound,
-        spread_formula=matroid_spread_formula(g),
-        spread_numeric=numeric,
-    )
+    spread = matroid_spread_formula(g) if g.edges else 0
+    return MatroidVerdict(bound <= 1, bound, spread)
 
 
 def base_ring_h_polynomial(g: SimpleGraph, cap=None) -> list:

@@ -221,11 +221,11 @@ def _check_deep_instance(g, ideal, profile, tally, cap):
 
 
 def _check_matroid_instance(g, tally, cap):
-    """All matroid-side rows on one graph with at least one edge.  One
-    dilation chain of the matroidal ideal gives 2A for the oracle and,
-    for a Freiman verdict, 3A for the growth row."""
+    """All matroid-side rows on one graph with at least one edge, against
+    the closed-form verdict.  The oracle ranks the matroidal ideal once for
+    its spread, and one dilation chain gives its 2A and, if Freiman, 3A."""
+    verdict = classify_freiman_matroid(g)
     try:
-        verdict = classify_freiman_matroid(g, cap=cap)
         gens = matroidal_ideal(g, cap=cap).generators
         sums = _dilations(gens, 3 if verdict.freiman else 2, cap)
         doubling = next(sums)[1]
@@ -238,9 +238,7 @@ def _check_matroid_instance(g, tally, cap):
         "matroid-classifier-vs-numeric", verdict.freiman == profile.freiman, g
     )
     tally.record(
-        "matroid-spread-formula-vs-numeric",
-        verdict.spread_formula == verdict.spread_numeric,
-        g,
+        "matroid-spread-formula-vs-numeric", verdict.spread_formula == profile.ell, g
     )
     tally.record(
         "forest-count-matrix-tree",

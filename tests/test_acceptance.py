@@ -154,9 +154,9 @@ def test_criterion_3():
     assert len(spanning_forests(g)) == 9
     verdict = classify_freiman_matroid(g)
     assert verdict.spread_formula == 5
-    assert verdict.spread_numeric == 5
     assert not verdict.freiman
     profile = is_freiman(matroidal_ideal(g))
+    assert profile.ell == 5
     assert profile.mu_series == (1, 9, 36)
     assert profile.bound2 == 35
     assert not profile.freiman
@@ -212,8 +212,9 @@ def test_criterion_6():
         verdict = classify_freiman_matroid(g)
         assert verdict.total_cycles_bound == bound
         assert verdict.freiman == (bound <= 1)
-        assert verdict.freiman == is_freiman(matroidal_ideal(g)).freiman, g
-        assert matroid_spread_formula(g) == verdict.spread_numeric, g
+        profile = is_freiman(matroidal_ideal(g))
+        assert verdict.freiman == profile.freiman, g
+        assert matroid_spread_formula(g) == verdict.spread_formula == profile.ell, g
 
 
 def _component_sets(g):

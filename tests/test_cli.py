@@ -145,6 +145,19 @@ def test_ideal_analyze_caps_the_dense_exponent_entries(tmp_path, capsys):
     assert code == 3 and "in 999999999 variables (cap 1000000)" in err
 
 
+def test_ideal_analyze_caps_the_max_power(tmp_path, capsys):
+    # K = 12 takes 78 <= 8 * 10 binomial terms, K = 13 takes 91
+    path = write(tmp_path, "x1x2.txt", "x1*x2")
+    args = ["ideal", "analyze", path, "--no-timing", "--cap", "10", "--max-power"]
+    assert run_cli([*args, "12"], capsys)[0] == 0
+    code, out, err = run_cli([*args, "13"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: resource cap exceeded: 91 binomial terms up to power 13 (cap 10)\n"
+    # a million powers are refused at the default cap before any sumset
+    code, _, err = run_cli(["ideal", "analyze", path, "--max-power", "1000000"], capsys)
+    assert code == 3 and "500000500000 binomial terms" in err
+
+
 def test_cap_env_variable(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "k4.json", K4_JSON)
     monkeypatch.setenv("FREIMAN_CAP", "5")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from freiman import (
     SimpleGraph,
+    analytic_spread,
     base_ring_h_polynomial,
     base_ring_regularity,
     classify_freiman_matroid,
@@ -21,7 +22,10 @@ from freiman import (
     mu_series,
     spanning_forests,
 )
+from freiman import fiber, lattice, matroids
 from freiman.errors import ResourceCapError
+from freiman.graphs import _vertices
+from freiman.reports import matroid_report
 from helpers import (
     bowtie,
     brute_articulation_points,
@@ -153,15 +157,16 @@ def test_matroidal_ideal_bowtie():
 def test_classify_forest():
     verdict = classify_freiman_matroid(path_graph(4))
     assert verdict.freiman and verdict.total_cycles_bound == 0
-    assert verdict.spread_formula == verdict.spread_numeric == 1
+    assert verdict.spread_formula == analytic_spread(matroidal_ideal(path_graph(4))) == 1
 
 
 def test_classify_single_cycles():
     for r in range(3, 7):
         verdict = classify_freiman_matroid(cycle_graph(r))
         assert verdict.freiman and verdict.total_cycles_bound == 1
-        assert verdict.spread_formula == verdict.spread_numeric == r
-        mu = mu_series(matroidal_ideal(cycle_graph(r)), 3)
+        ideal = matroidal_ideal(cycle_graph(r))
+        assert verdict.spread_formula == analytic_spread(ideal) == r
+        mu = mu_series(ideal, 3)
         assert mu == [comb(r + k - 1, k) for k in range(4)]
 
 
@@ -169,7 +174,7 @@ def test_classify_bowtie():
     verdict = classify_freiman_matroid(bowtie())
     assert not verdict.freiman
     assert verdict.total_cycles_bound == 2
-    assert verdict.spread_formula == verdict.spread_numeric == 5
+    assert verdict.spread_formula == analytic_spread(matroidal_ideal(bowtie())) == 5
     profile = is_freiman(matroidal_ideal(bowtie()))
     assert profile.mu_series == (1, 9, 36) and profile.bound2 == 35
     assert not profile.freiman
@@ -194,8 +199,62 @@ def test_long_path_takes_no_determinant():
     assert g.forest_count == 1
     assert len(cut_vertices(g)) == 1198
     verdict = classify_freiman_matroid(g)
-    assert verdict.freiman and verdict.spread_formula == verdict.spread_numeric == 1
+    assert verdict.freiman and verdict.spread_formula == 1
+    assert analytic_spread(matroidal_ideal(g)) == 1
     assert time.perf_counter() - started < 5.0
+
+
+def test_forest_search_renames_only_the_smaller_tree(monkeypatch):
+    # each vertex changes tree name at most log2(n) times, so the path's
+    # merges list n - 1 vertices, not the n^2 / 2 of whole-tree relabeling
+    listed = []
+
+    def counting(mask):
+        listed.append(mask.bit_count())
+        return _vertices(mask)
+
+    path, k6 = path_graph(4000), complete_graph(6)
+    assert path.forest_count == 1 and k6.forest_count == 6 ** 4
+    monkeypatch.setattr(matroids, "_vertices", counting)
+    assert spanning_forests(path) == [tuple(range(3999))]
+    assert sum(listed) == 3999
+    listed.clear()
+    assert len(spanning_forests(k6)) == 6 ** 4
+    assert max(listed) <= 3
+
+
+def test_classifier_is_closed_form(monkeypatch):
+    # no forest search and no rank: K9 and K12 have 4,782,969 and
+    # 61,917,364,224 spanning trees, far past the default cap
+    def refuse(*args):
+        raise AssertionError("the closed-form verdict enumerated or ranked")
+
+    monkeypatch.setattr(matroids, "_enumerate_forests", refuse)
+    monkeypatch.setattr(lattice, "affine_dim", refuse)
+    cases = [
+        (path_graph(4), (True, 0, 1)),
+        (cycle_graph(5), (True, 1, 5)),
+        (complete_graph(4), (False, 3, 6)),
+        (bowtie(), (False, 2, 5)),
+        (complete_graph(9), (False, 28, 36)),
+        (complete_graph(12), (False, 55, 66)),
+    ]
+    for g, fields in cases:
+        verdict = classify_freiman_matroid(g)
+        assert (verdict.freiman, verdict.total_cycles_bound, verdict.spread_formula) == fields
+
+
+def test_matroid_report_refuses_2a_before_any_rank(monkeypatch):
+    # K7's 16,807 forests fit the cap, its 2A does not: the oracle's
+    # sumset refuses before the oracle's rank, and the verdict has none
+    ranked = []
+    original = lattice.affine_dim
+    for module in (lattice, fiber, matroids):
+        if getattr(module, "affine_dim", None) is original:
+            monkeypatch.setattr(module, "affine_dim", lambda x: ranked.append(x) or original(x))
+    with pytest.raises(ResourceCapError, match="sumset at power 2"):
+        matroid_report(complete_graph(7), cap=100_000)
+    assert ranked == []
 
 
 def test_spread_formula_examples():

@@ -40,8 +40,7 @@ RECORDS = {
         ("source", "ground", "bases"), {}, (PATH, ((1, 2), (2, 3)), ((0, 1),)),
     ),
     MatroidVerdict: (
-        ("freiman", "total_cycles_bound", "spread_formula", "spread_numeric"), {},
-        (True, 0, 3, 3),
+        ("freiman", "total_cycles_bound", "spread_formula"), {}, (True, 0, 3),
     ),
 }
 CLASSES = list(RECORDS)
