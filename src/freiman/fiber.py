@@ -7,7 +7,8 @@ is one more than the affine-hull dimension of that set.  All series here
 are exact integers.
 """
 
-from math import comb
+from itertools import accumulate
+from operator import mul
 
 from .errors import Record, ResourceCapError, effective_cap
 from .ideals import MonomialIdeal, with_witness
@@ -56,19 +57,25 @@ def h_vector(mu: list, ell: int) -> list:
         raise ValueError("a generator-count series must start with mu(I^0) = 1")
     if ell < 1:
         raise ValueError("analytic spread must be >= 1")
+    if len(mu) == 3:  # h_2 = mu_2 - ell*mu_1 + C(ell, 2), as every Freiman test reads
+        return [1, mu[1] - ell, mu[2] - ell * mu[1] + ell * (ell - 1) // 2]
+    weights = _weights(ell, len(mu) - 1)
     h = []
     for k in range(len(mu)):
-        h.append(mu[k] - sum(comb(ell + k - i - 1, k - i) * h[i] for i in range(k)))
+        h.append(mu[k] - sum(map(mul, weights[k:0:-1], h)))
     return h
 
 
 def mu_from_h(h: list, ell: int, max_power: int) -> list:
     """Inverse of h_vector: mu(I^k) = sum_i C(ell+k-i-1, k-i) * h_i,
     where h is treated as zero beyond its length."""
-    return [
-        sum(comb(ell + k - i - 1, k - i) * h[i] for i in range(min(k, len(h) - 1) + 1))
-        for k in range(max_power + 1)
-    ]
+    weights = _weights(ell, max_power)
+    return [sum(map(mul, weights[k::-1], h)) for k in range(max_power + 1)]
+
+
+def _weights(ell, top):
+    """[C(ell+j-1, j) for j in 0..top], C(ell+j, j+1) from C(ell+j-1, j)."""
+    return list(accumulate(range(1, top + 1), lambda w, j: w * (ell + j - 1) // j, initial=1))
 
 
 def is_freiman(ideal: MonomialIdeal, cap=None) -> FiberProfile:

@@ -356,19 +356,27 @@ def four_cycle_union_subgraph(g: SimpleGraph) -> SimpleGraph:
 
 def _four_cycle_shape(g, mask):
     """The s of the 4-cycle union H inside the component of g on the
-    vertex mask mask, when H is empty (s = -2, from its s + 2 vertices)
-    or complete bipartite with parts of sizes 2 and s >= 2; else None.
-    A connected bipartite graph with those parts has at most 2s edges,
-    and exactly 2s iff it is complete."""
+    vertex mask mask, when H is empty there (s = -2, from its s + 2
+    vertices) or complete bipartite with parts of sizes 2 and s >= 2;
+    else None.  In K(2,s) the lowest vertex is a side vertex, which sees
+    the two hubs, or a hub, whose lowest neighbour sees them; then both
+    hubs see exactly the side, and each side vertex exactly the hubs."""
     h = g.four_cycle_adjacency
     # H is symmetric, so its vertices are its neighbours, and each 4-cycle
     # lies in one component
-    layers = _component_layers(h, mask & reduce(int.__or__, h))
-    if len(layers) != 1 or layers[0][1] is None:
-        return None if layers else -2
-    _, sides, edges = layers[0]
-    small, big = sorted(side.bit_count() for side in sides)
-    return big if small == 2 and big >= 2 and edges == 2 * big else None
+    verts = mask & reduce(int.__or__, h)
+    if not verts:
+        return -2
+    hubs = h[(verts & -verts).bit_length() - 1]
+    if hubs.bit_count() != 2:
+        hubs = h[(hubs & -hubs).bit_length() - 1]
+        if hubs.bit_count() != 2:
+            return None
+    a, b = _vertices(hubs)
+    side = h[a]
+    if h[b] != side or verts != hubs | side:
+        return None
+    return side.bit_count() if all(h[v] == hubs for v in _vertices(side)) else None
 
 
 def has_long_primitive_even_walk(g: SimpleGraph, cap=None):
@@ -414,6 +422,17 @@ def _classify_connected(g, mask, sides, edges):
     return False, "witness-long-walk"
 
 
+def _graph_verdict(g):
+    """classify_freiman_graph's (freiman, reason) without the witness, and
+    the (mask, freiman, reason) clauses of the components with edges."""
+    clauses = [(c[0], *_classify_connected(g, *c)) for c in g.component_colorings if c[2]]
+    if len(clauses) == 1:
+        return (*clauses[0][1:], clauses)
+    nonpoly = sum(why != "no-primitive-walks" for *_, why in clauses)
+    freiman = all(ok for _, ok, _ in clauses) and nonpoly <= 1
+    return freiman, "component-rule" if clauses else "no-primitive-walks", clauses
+
+
 def _long_walk(g, cap, within):
     cycles = _simple_cycles(g, cap, within)
     odd = []
@@ -443,26 +462,18 @@ def classify_freiman_graph(g: SimpleGraph, cap=None) -> GraphVerdict:
     false verdict on a graph with one component with edges searches for a
     witness, and cap bounds that search alone.
     """
-    comps = [comp for comp in g.component_colorings if comp[2]]
-    if not comps:
-        return GraphVerdict(True, "no-primitive-walks")
-    if len(comps) == 1:
-        freiman, reason = _classify_connected(g, *comps[0])
-        if freiman:
-            return GraphVerdict(True, reason)
-        if reason == "witness-long-walk":
-            witness = _long_walk(g, effective_cap(cap), comps[0][0])
-        else:  # every 4-cycle lies in the one component with edges
-            edges = _mask_edges(g.four_cycle_adjacency)
-            witness = {"four_cycle_union": [list(e) for e in edges]}
-        return GraphVerdict(False, reason, witness=witness)
-    verdicts = [(comp[0], *_classify_connected(g, *comp)) for comp in comps]
-    bad = [mask for mask, freiman, _ in verdicts if not freiman]
-    nonpoly = [mask for mask, _, why in verdicts if why != "no-primitive-walks"]
-    if bad or len(nonpoly) > 1:
+    freiman, reason, clauses = _graph_verdict(g)
+    if freiman:
+        return GraphVerdict(True, reason)
+    if reason == "witness-long-walk":
+        witness = _long_walk(g, effective_cap(cap), clauses[0][0])
+    elif reason == "K2s-with-short-walks":  # every 4-cycle lies in that component
+        witness = {"four_cycle_union": [list(e) for e in _mask_edges(g.four_cycle_adjacency)]}
+    else:
+        bad = [mask for mask, ok, _ in clauses if not ok]
+        nonpoly = [mask for mask, _, why in clauses if why != "no-primitive-walks"]
         witness = {
             "failing_components": [list(_vertices(mask)) for mask in bad],
             "non_polynomial_components": [list(_vertices(mask)) for mask in nonpoly],
         }
-        return GraphVerdict(False, "component-rule", witness=witness)
-    return GraphVerdict(True, "component-rule")
+    return GraphVerdict(False, reason, witness=witness)

@@ -1,64 +1,64 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here is fraction-free or Fraction-based; no floating point.
-One fraction-free (Bareiss) elimination serves the three consumers:
-affine-hull ranks, matrix-tree determinants, and the positive-weight
-feasibility search for quasi-equigeneration witnesses, whose nullspace
-basis is back-substituted from the echelon rows before an exact simplex.
-Only that search, reached for ideals that are not equigenerated,
-imports fractions.
+One fraction-free row step folds rows into an echelon basis: ranks stop
+once it is full, and the positive-weight feasibility search for
+quasi-equigeneration witnesses back-substitutes its nullspace basis from
+it before an exact simplex.  Matrix-tree determinants use fraction-free
+(Bareiss) elimination.  Only that search, reached for ideals that are
+not equigenerated, imports fractions.
 """
 
+from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
 
-def _eliminate(rows):
-    """(rank, sign, last pivot, echelon rows) of fraction-free (Bareiss)
-    elimination of a matrix with integer rows; sign is -1 after an odd
-    number of row swaps, and each echelon row is zero before its pivot
-    column.  `rows` is not modified."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    sign = prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        p = m[r][c]
-        mr = m[r]
-        for i in range(r + 1, nrows):
-            mi = m[i]
-            f = mi[c]
-            for j in range(c, ncols):
-                # exact by the Bareiss identity
-                mi[j] = (p * mi[j] - f * mr[j]) // prev
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r, sign, prev, m[:r]
+def _extend_basis(basis, row):
+    """The fraction-free row step: basis, a tuple of echelon rows (pivot
+    column, row), each zero at the pivots before it, plus what is left
+    of the integer row after elimination by them, in lowest terms, if
+    that is not zero.  A basis as long as the rows are wide is full."""
+    if len(basis) < len(row):
+        for p, b in basis:
+            if f := row[p]:
+                row = [b[p] * x - f * y for x, y in zip(row, b)]
+        if any(row):
+            if (c := gcd(*row)) > 1:
+                row = [x // c for x in row]
+            basis += ((next(j for j, x in enumerate(row) if x), row),)
+    return basis
 
 
 def integer_rank(rows):
-    """Rank over Q of a matrix with integer rows."""
-    return _eliminate(rows)[0]
+    """Rank over Q of a matrix with integer rows, folded row by row
+    through _extend_basis until the basis is full."""
+    basis = ()
+    for row in rows:
+        if len(basis := _extend_basis(basis, row)) == len(row):
+            break
+    return len(basis)
 
 
 def integer_det(rows):
-    """Determinant of a square integer matrix: the signed last Bareiss
-    pivot, or 0 below full rank."""
-    rank, sign, pivot, _ = _eliminate(rows)
-    return sign * pivot if rank == len(rows) else 0
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: the signed last pivot, or 0 below full rank."""
+    m = [list(r) for r in rows]
+    sign = prev = 1
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        mc, p = m[c], m[c][c]
+        for mi in m[c + 1 :]:
+            f = mi[c]
+            for j in range(c, len(m)):
+                mi[j] = (p * mi[j] - f * mc[j]) // prev  # exact by the Bareiss identity
+        prev = p
+    return sign * prev
 
 
 def nullspace_basis(rows, ncols):
@@ -68,13 +68,13 @@ def nullspace_basis(rows, ncols):
     Returns a list of integer tuples (possibly empty)."""
     from fractions import Fraction
 
-    echelon = _eliminate(rows)[3][::-1]
-    pivots = [next(c for c, x in enumerate(row) if x) for row in echelon]
+    echelon = reduce(_extend_basis, rows, ())[::-1]
+    pivots = [c for c, _ in echelon]
     basis = []
     for free in sorted(set(range(ncols)).difference(pivots)):
         v = [0] * ncols
         v[free] = 1
-        for row, c in zip(echelon, pivots):  # bottom up; v[c] is still 0
+        for c, row in echelon:  # bottom up; v[c] is still 0
             v[c] = Fraction(-sum(map(mul, row, v)), row[c])
         basis.append(_primitive(v))
     return basis

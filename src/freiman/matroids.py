@@ -11,7 +11,7 @@ most e - 2, which justifies declaring trailing zeros exact.
 
 from .errors import PreconditionError, Record, ResourceCapError, effective_cap
 from .fiber import h_vector, mu_series
-from .graphs import SimpleGraph, _component_layers, _vertices, cyclomatic_number
+from .graphs import SimpleGraph, _vertices, cyclomatic_number
 from .ideals import MonomialIdeal, _fresh_ideal
 from .linalg import integer_det
 
@@ -86,14 +86,12 @@ def _enumerate_forests(g: SimpleGraph) -> tuple:
     matrix-tree count.  Unbounded: spanning_forests checks the cap.
 
     Edge i is taken when its ends lie in different trees of the forest
-    so far, and left out when the kept edges without it still have as
-    many components as g.  So every branch ends in a forest, and taking
-    first yields them in lexicographic order.
+    so far, and left out when the kept edges without it still join its
+    ends, so they keep as many components as g.  So every branch ends in
+    a forest, and taking first yields them in lexicographic order.
     """
     ground = g.sorted_edges()
-    parts = len(g.component_colorings)
-    rank = g.n - parts
-    everyone = (1 << g.n + 1) - 2
+    rank = g.n - len(g.component_colorings)
     forests = []
     # edge index, taken edges, per-vertex tree names, per-name tree masks,
     # kept neighbour masks
@@ -113,7 +111,7 @@ def _enumerate_forests(g: SimpleGraph) -> tuple:
             without = list(kept)
             without[u] ^= 1 << w
             without[w] ^= 1 << u
-            if len(_component_layers(without, everyone)) == parts:
+            if _reaches(without, u, w):
                 stack.append((i + 1, taken, names, trees, without))
         big, small = (a, b) if trees[a].bit_count() >= trees[b].bit_count() else (b, a)
         renamed, joined = list(names), list(trees)
@@ -126,6 +124,21 @@ def _enumerate_forests(g: SimpleGraph) -> tuple:
             f"forest enumeration found {len(forests)}, matrix-tree says {g.forest_count}"
         )
     return tuple(forests)
+
+
+def _reaches(adj, u, w):
+    """Whether a path joins u to w in the graph of the neighbour masks
+    adj, by a BFS from u that stops once it sees w."""
+    seen = frontier = 1 << u
+    while frontier and not seen >> w & 1:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen >> w & 1
 
 
 def cycle_matroid(g: SimpleGraph, cap=None) -> CycleMatroid:

@@ -10,8 +10,9 @@ The graph oracle is the edge ideal's own doubling and rank, grown one
 edge at a time: the exhaustive sweep walks each aligned block of edge
 masks depth first and carries that state from parent to child, and random
 mode grows 2A by one sumset-kernel row per edge.  The walk also carries
-the neighbour masks, so each connected mask becomes a graph holding its
-adjacency and components.  Each matroidal ideal runs one dilation chain.
+the neighbour masks, the components and their 2-colourings, so a connected
+mask becomes a graph with no search.  The matroid oracle reads the
+spanning forests directly: packed forest codes, their sumsets and rank.
 """
 
 import os
@@ -25,21 +26,20 @@ from .fiber import _growth, fiber_profile, mu_from_h, mu_series
 from .formats import graph_to_dict
 from .graphs import (
     SimpleGraph,
-    _component_layers,
     _edge_masks,
     _four_cycle_shape,
+    _graph_verdict,
     _has_polynomial_edge_ring,
     _long_walk,
-    classify_freiman_graph,
     edge_ideal,
     is_polynomial_edge_ring,
 )
-from .lattice import _dilations, _packed_sum, _shifts, affine_dim
+from .lattice import _packed_sum, _shifts
+from .linalg import _extend_basis, integer_rank
 from .matroids import (
     base_ring_regularity,
     classify_freiman_matroid,
     cut_vertices,
-    matroidal_ideal,
     spanning_forests,
 )
 
@@ -128,22 +128,10 @@ def _grow(state, step):
     return codes, doubling.union(map(code.__add__, codes)), _extend_basis(basis, row)
 
 
-def _extend_basis(basis, row):
-    """basis, plus row if anything is left of it after elimination by the
-    basis rows in order (at most n rows, so a full basis stops growing)."""
-    if len(basis) < len(row):
-        for p, b in basis:
-            if f := row[p]:
-                row = [b[p] * x - f * y for x, y in zip(row, b)]
-        if any(row):
-            basis += ((next(j for j, x in enumerate(row) if x), row),)
-    return basis
-
-
 def _check_graph_instance(g, oracle, tally, cap):
     """All graph-side rows on one graph with at least one edge, whose
     edge ideal has the oracle state oracle."""
-    verdict = classify_freiman_graph(g, cap=cap)
+    freiman = _graph_verdict(g)[0]
     # the oracle: the edge ideal's own sumset and rank, no classifier fact.
     # Every edge vector lies on x_1 + ... + x_n = 2, which misses the
     # origin, so the rank is the analytic spread (affine dimension + 1).
@@ -151,7 +139,7 @@ def _check_graph_instance(g, oracle, tally, cap):
     if len(doubling) > cap:
         raise ResourceCapError(f"sumset at power 2 exceeds {cap} points", cap)
     profile = fiber_profile((1, len(codes), len(doubling)), len(basis))
-    tally.record("graph-classifier-vs-numeric", verdict.freiman == profile.freiman, g)
+    tally.record("graph-classifier-vs-numeric", freiman == profile.freiman, g)
     tally.record("doubling-h2-nonnegative", profile.h2 >= 0, g)
     tally.record(
         "spread-upper-bound", profile.ell <= min(profile.mu_series[1], g.n), g
@@ -165,7 +153,7 @@ def _check_graph_instance(g, oracle, tally, cap):
     # on all-bipartite graphs: the scope whose counts the row has recorded
     if nbip == len(comps):
         try:
-            ok = _walk_search_freiman(g, cap) == verdict.freiman
+            ok = _walk_search_freiman(g, cap) == freiman
             tally.record("bipartite-rule-vs-general", ok, g)
         except ResourceCapError:
             tally.skip("bipartite-rule-vs-general")
@@ -222,33 +210,33 @@ def _check_deep_instance(g, ideal, profile, tally, cap):
 
 def _check_matroid_instance(g, tally, cap):
     """All matroid-side rows on one graph with at least one edge, against
-    the closed-form verdict.  The oracle ranks the matroidal ideal once for
-    its spread, and one dilation chain gives its 2A and, if Freiman, 3A."""
+    the closed-form verdict.  The oracle packs each spanning forest into
+    fields wide enough for 3A, forms 2A and, if Freiman, 3A with the
+    sumset kernel, and ranks the forest vectors: they lie on x_1 + ... +
+    x_m = n - s, which misses the origin, so that is the analytic spread."""
     verdict = classify_freiman_matroid(g)
+    shifts = _shifts(g.num_edges, 3)
     try:
-        gens = matroidal_ideal(g, cap=cap).generators
-        sums = _dilations(gens, 3 if verdict.freiman else 2, cap)
-        doubling = next(sums)[1]
-        profile = fiber_profile((1, len(gens), len(doubling)), affine_dim(gens) + 1)
+        codes = [sum(1 << shifts[i] for i in f) for f in spanning_forests(g, cap=cap)]
+        pairs = ((a, codes[i:]) for i, a in enumerate(codes))
+        doubling = _packed_sum(pairs, cap, "sumset at power 2")
     except ResourceCapError:
         for name in MATROID_ROWS:
             tally.skip(name)
         return
+    ell = integer_rank([[c >> s & 1 for s in shifts] for c in codes])
+    profile = fiber_profile((1, len(codes), len(doubling)), ell)
     tally.record(
         "matroid-classifier-vs-numeric", verdict.freiman == profile.freiman, g
     )
     tally.record(
         "matroid-spread-formula-vs-numeric", verdict.spread_formula == profile.ell, g
     )
-    tally.record(
-        "forest-count-matrix-tree",
-        len(spanning_forests(g, cap=cap)) == g.forest_count,
-        g,
-    )
+    tally.record("forest-count-matrix-tree", len(codes) == g.forest_count, g)
     if verdict.freiman:
         try:
-            mu = (1, len(gens), len(doubling), len(next(sums)[1]))
-            ell = profile.ell
+            triple = _packed_sum(zip(doubling, repeat(codes)), cap, "sumset at power 3")
+            mu = (1, len(codes), len(doubling), len(triple))
             ok = all(mu[k] == comb(ell + k - 1, k) for k in range(1, 4))
             tally.record("matroid-polynomial-growth", ok, g)
         except ResourceCapError:
@@ -279,12 +267,27 @@ def _is_canonical_mask(n, mask, pairs):
     return True
 
 
+def _join(parts, u, v):
+    """The walk's components (comps, colour, odd) once the edge uv is in:
+    comps[x] is x's component mask, colour splits each bipartite component
+    into its two sides, and odd is the union of the other components."""
+    comps, colour, odd = parts
+    cu, cv = comps[u], comps[v]
+    same = not (colour >> u ^ colour >> v) & 1
+    if cu == cv:
+        return comps, colour, odd | cu if same else odd
+    both = cu | cv
+    comps = tuple(both if c & both else c for c in comps)
+    return comps, colour ^ cv if same else colour, odd | both if odd & both else odd
+
+
 def _sweep_chunk(args):
     """Check every connected graph whose mask lies in the aligned block
     [lo, hi) of 2^b masks, by a depth-first walk that carries the oracle
     state: the root folds in the block's fixed high bits, and each child
     adds one edge bit below its parent's lowest bit, in increasing bit
-    order.  Pre-order then visits the masks in increasing order."""
+    order.  Pre-order then visits the masks in increasing order.  The
+    walk carries the neighbour masks and the components (_join) too."""
     (n, lo, hi, cap, max_edges, up_to_iso) = args
     pairs = list(combinations(range(1, n + 1), 2))
     steps = [_edge_step(n, u, v) for u, v in pairs]
@@ -293,14 +296,16 @@ def _sweep_chunk(args):
     tally = _Tally()
     graphs_seen = 0
 
-    def walk(mask, below, edges, adj, oracle):
+    def walk(mask, below, edges, adj, parts, oracle):
         nonlocal graphs_seen
-        comps = _component_layers(adj, everyone)
-        if comps[0][0] == everyone and (
+        comps, colour, odd = parts
+        if comps[1] == everyone and (
             not up_to_iso or _is_canonical_mask(n, mask, pairs)
         ):
+            side = colour ^ everyone if colour & 2 else colour  # vertex 1's side first
+            coloring = (everyone, None if odd else (everyone ^ side, side), len(edges))
             g = SimpleGraph._trusted(
-                n, frozenset(edges), adjacency=adj, component_colorings=comps
+                n, frozenset(edges), adjacency=adj, component_colorings=(coloring,)
             )
             graphs_seen += 1
             _check_graph_instance(g, oracle, tally, cap)
@@ -308,12 +313,14 @@ def _sweep_chunk(args):
                 _check_matroid_instance(g, tally, cap)
         for i in range(below):
             child = tuple(map(int.__or__, adj, bits[i]))
-            walk(mask | 1 << i, i, edges + (pairs[i],), child, _grow(oracle, steps[i]))
+            joined = _join(parts, *pairs[i])
+            walk(mask | 1 << i, i, edges + (pairs[i],), child, joined, _grow(oracle, steps[i]))
 
     # lo is aligned, so its set bits are the block's fixed high bits
     fixed = tuple(pairs[i] for i in range(len(pairs)) if lo >> i & 1)
     oracle = reduce(_grow, [_edge_step(n, u, v) for u, v in fixed], _NO_EDGES)
-    walk(lo, (hi - lo).bit_length() - 1, fixed, _edge_masks(n + 1, fixed), oracle)
+    parts = reduce(lambda p, e: _join(p, *e), fixed, (tuple(1 << v for v in range(n + 1)), 0, 0))
+    walk(lo, (hi - lo).bit_length() - 1, fixed, _edge_masks(n + 1, fixed), parts, oracle)
     return tally.rows, tally.counterexamples, graphs_seen
 
 

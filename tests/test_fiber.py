@@ -1,6 +1,7 @@
 """Analytic spread, generator series, h-vectors, and the Freiman test."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,29 @@ def test_h_mu_round_trip_random(ell, tail):
     h = [1] + tail
     mu = mu_from_h(h, ell, len(h) - 1)
     assert h_vector(mu, ell) == h
+
+
+def _binomial_sum(coeffs, ell, k):
+    """sum_i C(ell+k-i-1, k-i) * coeffs[i] over i <= k, term by term."""
+    return sum(comb(ell + k - i - 1, k - i) * c for i, c in enumerate(coeffs[: k + 1]))
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=9),
+)
+def test_h_vector_and_mu_from_h_match_the_binomial_sums(ell, tail):
+    # the h_2 closed form (three terms) and the running binomials (any
+    # other length) against C(ell+k-i-1, k-i) summed term by term
+    mu = [1, *tail]
+    h = h_vector(mu, ell)
+    for k in range(len(mu)):
+        assert h[k] == mu[k] - _binomial_sum(h[:k], ell, k)
+    if len(mu) == 3:
+        assert h[2] == mu[2] - ell * mu[1] + comb(ell, 2)
+    top = len(tail) + 2
+    assert mu_from_h(mu, ell, top) == [_binomial_sum(mu, ell, k) for k in range(top + 1)]
 
 
 def test_is_freiman_examples():

@@ -3,6 +3,7 @@
 import random
 import time
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -471,6 +472,47 @@ def test_closed_form_on_the_boundary_families(family):
         kind = verdict.witness.get("kind") if verdict.witness else None
         outcomes[verdict.freiman, verdict.reason, kind] += 1
     assert set(outcomes) == expected, outcomes
+
+
+def _bfs_four_cycle_shape(g, mask):
+    """The shape of H read off a BFS 2-coloring of it, as _four_cycle_shape
+    did before it read H's neighbour masks directly: the reference."""
+    h = g.four_cycle_adjacency
+    layers = graphs._component_layers(h, mask & reduce(int.__or__, h))
+    if len(layers) != 1 or layers[0][1] is None:
+        return None if layers else -2
+    _, sides, edges = layers[0]
+    small, big = sorted(side.bit_count() for side in sides)
+    return big if small == 2 and big >= 2 and edges == 2 * big else None
+
+
+def _small_and_boundary_graphs():
+    """Every graph with an edge on 2..6 vertices, connected or not, then
+    300 draws from each boundary family."""
+    for n in range(2, 7):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mask in range(1, 1 << len(pairs)):
+            yield SimpleGraph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+    for family in BOUNDARY_FAMILIES:
+        rng = random.Random(2018)
+        for _ in range(300):
+            yield boundary_graph(rng, family)
+
+
+def test_four_cycle_shape_and_verdict_match_their_references():
+    shapes, verdicts = Counter(), Counter()
+    for g in _small_and_boundary_graphs():
+        everyone = (1 << g.n + 1) - 2
+        for mask in {everyone, *(mask for mask, *_ in g.component_colorings)}:
+            s = graphs._four_cycle_shape(g, mask)
+            assert s == _bfs_four_cycle_shape(g, mask), (g, mask)
+            shapes["none" if s is None else "empty" if s == -2 else "K2s"] += 1
+        verdict = classify_freiman_graph(g)
+        assert graphs._graph_verdict(g)[:2] == (verdict.freiman, verdict.reason), g
+        verdicts[verdict.freiman, verdict.reason] += 1
+    assert set(shapes) == {"none", "empty", "K2s"}
+    # both verdicts of every reason but no-primitive-walks, which is true
+    assert len(verdicts) == 6, verdicts
 
 
 def test_classify_isolated_vertices_ignored():
