@@ -80,7 +80,7 @@ def _packed_sum(rows, cap, what):
     checked after each row."""
     out = set()
     for a, bs in rows:
-        out.update(map(a.__add__, bs))
+        out.update([a + b for b in bs])
         if len(out) > cap:
             raise ResourceCapError(f"{what} exceeds {cap} points", cap)
     return out

@@ -206,16 +206,17 @@ def classify_freiman_matroid(g: SimpleGraph) -> MatroidVerdict:
 
 def base_ring_h_polynomial(g: SimpleGraph, cap=None) -> list:
     """h-vector of the base ring, computed from the generator-count series
-    of the matroidal ideal at the formula spread.
-
-    The series runs to power e - 1, past the degree bound e - 2, so
-    trailing zeros are exact and are stripped.
-    """
+    of the matroidal ideal at the formula spread (_trimmed_h)."""
     ideal = matroidal_ideal(g, cap=cap)
-    ell = matroid_spread_formula(g)
-    top = max(g.num_edges - 1, 1)
-    h = h_vector(mu_series(ideal, top, cap=cap), ell)
-    if any(h[top:]):
+    mu = mu_series(ideal, max(g.num_edges - 1, 1), cap=cap)
+    return _trimmed_h(mu, matroid_spread_formula(g))
+
+
+def _trimmed_h(mu, ell):
+    """The h-vector of a base ring's series mu to power e - 1 at spread ell,
+    past the degree bound e - 2, so trailing zeros are exact and stripped."""
+    h = h_vector(mu, ell)
+    if h[-1]:
         raise ArithmeticError("h-polynomial exceeds its degree bound e - 2")
     while len(h) > 1 and h[-1] == 0:
         h.pop()

@@ -9,10 +9,10 @@ Aggregation is order-independent, so chunks may be verified in parallel.
 The graph oracle is the edge ideal's own doubling and rank, grown one
 edge at a time: the exhaustive sweep walks each aligned block of edge
 masks depth first and carries that state from parent to child, and random
-mode grows 2A by one sumset-kernel row per edge.  The walk also carries
-the neighbour masks, the components and their 2-colourings, so a connected
-mask becomes a graph with no search.  The matroid oracle reads the
-spanning forests directly: packed forest codes, their sumsets and rank.
+mode grows 2A by one sumset-kernel row per edge; later powers add A to
+the last sumset.  The walk also carries the neighbour masks, components
+and 2-colourings, so a connected mask becomes a graph with no search.
+The matroid oracle packs, sums and ranks the spanning forests directly.
 """
 
 import os
@@ -22,7 +22,7 @@ from itertools import combinations, permutations, repeat
 from math import comb
 
 from .errors import PreconditionError, ResourceCapError, effective_cap, cap_vertex_pairs
-from .fiber import _growth, fiber_profile, mu_from_h, mu_series
+from .fiber import _growth, fiber_profile, mu_from_h
 from .formats import graph_to_dict
 from .graphs import (
     SimpleGraph,
@@ -31,17 +31,11 @@ from .graphs import (
     _graph_verdict,
     _has_polynomial_edge_ring,
     _long_walk,
-    edge_ideal,
     is_polynomial_edge_ring,
 )
 from .lattice import _packed_sum, _shifts
 from .linalg import _extend_basis, integer_rank
-from .matroids import (
-    base_ring_regularity,
-    classify_freiman_matroid,
-    cut_vertices,
-    spanning_forests,
-)
+from .matroids import _trimmed_h, classify_freiman_matroid, cut_vertices, spanning_forests
 
 GRAPH_ROWS = [
     "graph-classifier-vs-numeric",
@@ -105,7 +99,7 @@ class _Tally:
 
 
 # The oracle state of an edge ideal: its packed edge vectors A (in the
-# 2-bit fields of lattice._shifts, wide enough for 3A), the doubling 2A,
+# 3-bit fields of lattice._shifts, wide enough for 4A), the doubling 2A,
 # and fraction-free echelon rows (pivot column, row) of the 0/1 edge
 # vectors, each zero at the pivots before it, so len(basis) is the rank.
 _NO_EDGES = ((), frozenset(), ())
@@ -113,7 +107,7 @@ _NO_EDGES = ((), frozenset(), ())
 
 def _edge_step(n, u, v):
     """The packed code and the 0/1 vector of the edge uv on vertices 1..n."""
-    shifts = _shifts(n, 3)
+    shifts = _shifts(n, 4)
     row = [0] * n
     row[u - 1] = row[v - 1] = 1
     return 1 << shifts[u - 1] | 1 << shifts[v - 1], row
@@ -164,16 +158,24 @@ def _check_graph_instance(g, oracle, tally, cap):
     tally.record("four-cycle-doubling-deficit", has_c4 == deficit, g)
 
     if is_polynomial_edge_ring(g):
-        # 3A = 2A + A on the oracle's codes; no coordinate exceeds 3
         try:
-            triple = _packed_sum(zip(doubling, repeat(codes)), cap, "sumset at power 3")
-            ok = len(doubling) == comb(m + 1, 2) and len(triple) == comb(m + 2, 3)
+            ok = _mu(codes, doubling, 3, cap) == [1, m, comb(m + 1, 2), comb(m + 2, 3)]
             tally.record("polynomial-growth-forward", ok, g)
         except ResourceCapError:
             tally.skip("polynomial-growth-forward")
 
     if g.n <= DEEP_MAX_VERTICES:
-        _check_deep_instance(g, edge_ideal(g), profile, tally, cap)
+        _check_deep_instance(g, codes, doubling, profile, tally, cap)
+
+
+def _mu(codes, doubling, top, cap):
+    """[1, |A|, |2A|, ..., |top A|] for the packed codes A with doubling 2A;
+    each later power is one sumset-kernel row per code of A."""
+    mu, last = [1, len(codes), len(doubling)], doubling
+    for k in range(3, top + 1):
+        last = _packed_sum(zip(codes, repeat(last)), cap, f"sumset at power {k}")
+        mu.append(len(last))
+    return mu
 
 
 def _walk_search_freiman(g, cap):
@@ -188,10 +190,10 @@ def _walk_search_freiman(g, cap):
     return shaped and _long_walk(g, cap, mask) is None
 
 
-def _check_deep_instance(g, ideal, profile, tally, cap):
-    """Series-level rows (powers up to 4) on one graph and its edge ideal."""
+def _check_deep_instance(g, codes, doubling, profile, tally, cap):
+    """Series-level rows (powers up to 4) on one graph's edge ideal."""
     try:
-        mu = mu_series(ideal, 4, cap=cap)
+        mu = _mu(codes, doubling, 4, cap)
     except ResourceCapError:
         for name in DEEP_ROWS:
             tally.skip(name)
@@ -210,12 +212,12 @@ def _check_deep_instance(g, ideal, profile, tally, cap):
 
 def _check_matroid_instance(g, tally, cap):
     """All matroid-side rows on one graph with at least one edge, against
-    the closed-form verdict.  The oracle packs each spanning forest into
-    fields wide enough for 3A, forms 2A and, if Freiman, 3A with the
-    sumset kernel, and ranks the forest vectors: they lie on x_1 + ... +
-    x_m = n - s, which misses the origin, so that is the analytic spread."""
+    the closed-form verdict.  The oracle packs the spanning forests, forms
+    their sumsets (to 3A if Freiman, else to (e - 1)A for the regularity
+    row) and ranks them: they lie on x_1 + ... + x_e = n - s, which misses
+    the origin, so the rank is the analytic spread."""
     verdict = classify_freiman_matroid(g)
-    shifts = _shifts(g.num_edges, 3)
+    shifts = _shifts(g.num_edges, max(g.num_edges - 1, 3))
     try:
         codes = [sum(1 << shifts[i] for i in f) for f in spanning_forests(g, cap=cap)]
         pairs = ((a, codes[i:]) for i, a in enumerate(codes))
@@ -235,15 +237,14 @@ def _check_matroid_instance(g, tally, cap):
     tally.record("forest-count-matrix-tree", len(codes) == g.forest_count, g)
     if verdict.freiman:
         try:
-            triple = _packed_sum(zip(doubling, repeat(codes)), cap, "sumset at power 3")
-            mu = (1, len(codes), len(doubling), len(triple))
+            mu = _mu(codes, doubling, 3, cap)
             ok = all(mu[k] == comb(ell + k - 1, k) for k in range(1, 4))
             tally.record("matroid-polynomial-growth", ok, g)
         except ResourceCapError:
             tally.skip("matroid-polynomial-growth")
     elif g.num_edges <= REGULARITY_MAX_EDGES:
         try:
-            reg = base_ring_regularity(g, cap=cap)
+            reg = len(_trimmed_h(_mu(codes, doubling, g.num_edges - 1, cap), ell))
             # c = 0 and s = 1 on a 2-connected graph: the bound is e - 1
             c = len(cut_vertices(g))
             s = sum(1 for *_, edges in g.component_colorings if edges)
