@@ -46,10 +46,9 @@ def mu_series(ideal: MonomialIdeal, max_power: int, cap=None) -> list:
 
 
 def h_vector(mu: list, ell: int) -> list:
-    """h-vector entries h_0..h_K recovered from mu(I^k) for k <= K via
-
-        h_k = mu[k] - sum_{i<k} C(ell+k-i-1, k-i) * h_i.
-
+    """h-vector entries h_0..h_K recovered from mu(I^k) for k <= K: the
+    coefficients h_k = sum_{i<=k} (-1)^i C(ell, i) * mu[k-i] of
+    (1 - t)^ell * sum_k mu[k] t^k, so h_2 = mu_2 - ell*mu_1 + C(ell, 2).
     Entries may be negative for non-Cohen-Macaulay fiber cones; only the
     returned prefix is determined by the given series.
     """
@@ -57,13 +56,8 @@ def h_vector(mu: list, ell: int) -> list:
         raise ValueError("a generator-count series must start with mu(I^0) = 1")
     if ell < 1:
         raise ValueError("analytic spread must be >= 1")
-    if len(mu) == 3:  # h_2 = mu_2 - ell*mu_1 + C(ell, 2), as every Freiman test reads
-        return [1, mu[1] - ell, mu[2] - ell * mu[1] + ell * (ell - 1) // 2]
-    weights = _weights(ell, len(mu) - 1)
-    h = []
-    for k in range(len(mu)):
-        h.append(mu[k] - sum(map(mul, weights[k:0:-1], h)))
-    return h
+    weights = _weights(-ell, len(mu) - 1)
+    return [sum(map(mul, weights[k::-1], mu)) for k in range(len(mu))]
 
 
 def mu_from_h(h: list, ell: int, max_power: int) -> list:
@@ -73,9 +67,10 @@ def mu_from_h(h: list, ell: int, max_power: int) -> list:
     return [sum(map(mul, weights[k::-1], h)) for k in range(max_power + 1)]
 
 
-def _weights(ell, top):
-    """[C(ell+j-1, j) for j in 0..top], C(ell+j, j+1) from C(ell+j-1, j)."""
-    return list(accumulate(range(1, top + 1), lambda w, j: w * (ell + j - 1) // j, initial=1))
+def _weights(x, top):
+    """The coefficients C(x+j-1, j) of t^0..t^top in (1 - t)^-x, each from
+    the one before.  For x = -ell they are (-1)^j C(ell, j)."""
+    return list(accumulate(range(1, top + 1), lambda w, j: w * (x + j - 1) // j, initial=1))
 
 
 def is_freiman(ideal: MonomialIdeal, cap=None) -> FiberProfile:

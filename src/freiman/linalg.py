@@ -1,12 +1,12 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here is fraction-free or Fraction-based; no floating point.
-One fraction-free row step folds rows into an echelon basis: ranks stop
-once it is full, and the positive-weight feasibility search for
-quasi-equigeneration witnesses back-substitutes its nullspace basis from
-it before an exact simplex.  Matrix-tree determinants use fraction-free
-(Bareiss) elimination.  Only that search, reached for ideals that are
-not equigenerated, imports fractions.
+Ranks and matrix-tree determinants share one fraction-free (Bareiss)
+elimination.  Rows that arrive one at a time fold through one
+fraction-free row step into an echelon basis, which the positive-weight
+feasibility search for quasi-equigeneration witnesses back-substitutes
+into a nullspace basis before an exact simplex.  Only that search,
+reached for ideals that are not equigenerated, imports fractions.
 """
 
 from functools import reduce
@@ -30,35 +30,41 @@ def _extend_basis(basis, row):
     return basis
 
 
-def integer_rank(rows):
-    """Rank over Q of a matrix with integer rows, folded row by row
-    through _extend_basis until the basis is full."""
-    basis = ()
-    for row in rows:
-        if len(basis := _extend_basis(basis, row)) == len(row):
+def _bareiss(rows):
+    """(rank, sign, last pivot) of fraction-free (Bareiss) elimination of
+    a matrix with integer rows; sign is -1 after an odd number of row
+    swaps.  `rows` is not modified."""
+    m = [list(r) for r in rows]
+    r = 0
+    sign = prev = 1
+    for c in range(len(m[0]) if m else 0):
+        if (piv := next((i for i in range(r, len(m)) if m[i][c]), None)) is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        mr, p = m[r], m[r][c]
+        for mi in m[r + 1 :]:
+            f = mi[c]
+            for j in range(c, len(mr)):
+                mi[j] = (p * mi[j] - f * mr[j]) // prev  # exact by the Bareiss identity
+        prev = p
+        r += 1
+        if r == len(m):
             break
-    return len(basis)
+    return r, sign, prev
+
+
+def integer_rank(rows):
+    """Rank over Q of a matrix with integer rows."""
+    return _bareiss(rows)[0]
 
 
 def integer_det(rows):
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: the signed last pivot, or 0 below full rank."""
-    m = [list(r) for r in rows]
-    sign = prev = 1
-    for c in range(len(m)):
-        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        mc, p = m[c], m[c][c]
-        for mi in m[c + 1 :]:
-            f = mi[c]
-            for j in range(c, len(m)):
-                mi[j] = (p * mi[j] - f * mc[j]) // prev  # exact by the Bareiss identity
-        prev = p
-    return sign * prev
+    """Determinant of a square integer matrix: the signed last Bareiss
+    pivot, or 0 below full rank."""
+    rank, sign, pivot = _bareiss(rows)
+    return sign * pivot if rank == len(rows) else 0
 
 
 def nullspace_basis(rows, ncols):

@@ -98,16 +98,17 @@ class _Tally:
                 self.counterexamples.append((name, gdict))
 
 
-# The oracle state of an edge ideal: its packed edge vectors A (in the
-# 3-bit fields of lattice._shifts, wide enough for 4A), the doubling 2A,
-# and fraction-free echelon rows (pivot column, row) of the 0/1 edge
-# vectors, each zero at the pivots before it, so len(basis) is the rank.
+# The oracle state of an edge ideal: its packed edge vectors A (in fields
+# of lattice._shifts wide enough for the highest power formed: 4A for the
+# deep rows, else 3A), the doubling 2A, and fraction-free echelon rows
+# (pivot column, row) of the 0/1 edge vectors, each zero at the pivots
+# before it, so len(basis) is the rank.
 _NO_EDGES = ((), frozenset(), ())
 
 
 def _edge_step(n, u, v):
     """The packed code and the 0/1 vector of the edge uv on vertices 1..n."""
-    shifts = _shifts(n, 4)
+    shifts = _shifts(n, 4 if n <= DEEP_MAX_VERTICES else 3)
     row = [0] * n
     row[u - 1] = row[v - 1] = 1
     return 1 << shifts[u - 1] | 1 << shifts[v - 1], row
@@ -135,9 +136,7 @@ def _check_graph_instance(g, oracle, tally, cap):
     profile = fiber_profile((1, len(codes), len(doubling)), len(basis))
     tally.record("graph-classifier-vs-numeric", freiman == profile.freiman, g)
     tally.record("doubling-h2-nonnegative", profile.h2 >= 0, g)
-    tally.record(
-        "spread-upper-bound", profile.ell <= min(profile.mu_series[1], g.n), g
-    )
+    tally.record("spread-upper-bound", profile.ell <= min(profile.mu_series[1], g.n), g)
     # isolated vertices count as bipartite components
     comps = g.component_colorings
     nbip = sum(1 for _, sides, _ in comps if sides is not None)
@@ -219,18 +218,17 @@ def _check_matroid_instance(g, tally, cap):
     verdict = classify_freiman_matroid(g)
     shifts = _shifts(g.num_edges, max(g.num_edges - 1, 3))
     try:
-        codes = [sum(1 << shifts[i] for i in f) for f in spanning_forests(g, cap=cap)]
+        forests = spanning_forests(g, cap=cap)
+        codes = [sum(1 << shifts[i] for i in f) for f in forests]
         pairs = ((a, codes[i:]) for i, a in enumerate(codes))
         doubling = _packed_sum(pairs, cap, "sumset at power 2")
     except ResourceCapError:
         for name in MATROID_ROWS:
             tally.skip(name)
         return
-    ell = integer_rank([[c >> s & 1 for s in shifts] for c in codes])
+    ell = integer_rank([[int(i in f) for i in range(g.num_edges)] for f in forests])
     profile = fiber_profile((1, len(codes), len(doubling)), ell)
-    tally.record(
-        "matroid-classifier-vs-numeric", verdict.freiman == profile.freiman, g
-    )
+    tally.record("matroid-classifier-vs-numeric", verdict.freiman == profile.freiman, g)
     tally.record(
         "matroid-spread-formula-vs-numeric", verdict.spread_formula == profile.ell, g
     )

@@ -105,8 +105,8 @@ def _binomial_sum(coeffs, ell, k):
     st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=9),
 )
 def test_h_vector_and_mu_from_h_match_the_binomial_sums(ell, tail):
-    # the h_2 closed form (three terms) and the running binomials (any
-    # other length) against C(ell+k-i-1, k-i) summed term by term
+    # the product with (1 - t)^ell and the running binomials against the
+    # recursion through C(ell+k-i-1, k-i), summed term by term
     mu = [1, *tail]
     h = h_vector(mu, ell)
     for k in range(len(mu)):

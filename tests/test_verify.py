@@ -12,7 +12,7 @@ from freiman import verify
 from freiman.cli import main
 from freiman.errors import DEFAULT_CAP, PreconditionError, ResourceCapError, lazy
 from freiman.fiber import is_freiman
-from freiman.graphs import SimpleGraph, edge_ideal
+from freiman.graphs import SimpleGraph, classify_freiman_graph, edge_ideal
 from freiman.lattice import _packed_sum
 from freiman.linalg import integer_rank
 from freiman.verify import (
@@ -209,6 +209,29 @@ def test_small_caps_raise_as_before():
     assert [row["skipped"] for row in report["rows"]] == [
         0, 0, 0, 0, 0, 0, 12, 22, 22, 22, 22, 7, 7, 7, 10, 7,
     ]
+
+
+def test_graph_rows_do_not_stop_at_the_cycle_cap():
+    # the dodecahedron GP(10, 2) has no 4-cycle, so its verdict is
+    # witness-long-walk; its 1,168 simple cycles pass cap 500 where its
+    # 2A of 465 points does not.  The rows read the verdict alone, so they
+    # are recorded where classify_freiman_graph's witness search stops.
+    ring = [(i, i % 10 + 1) for i in range(1, 11)]
+    spokes = [(i, i + 10) for i in range(1, 11)]
+    star = [(i + 10, (i + 1) % 10 + 11) for i in range(1, 11)]
+    edges = sorted(tuple(sorted(e)) for e in ring + spokes + star)
+    g = SimpleGraph(20, frozenset(edges))
+    with pytest.raises(ResourceCapError, match="more than 500 simple cycles"):
+        classify_freiman_graph(g, cap=500)
+    gd = {"n": 20, "edges": [list(e) for e in edges]}
+    rows, counterexamples, seen = _random_chunk(([gd], 500, 6))
+    assert seen == 1 and counterexamples == []
+    # not bipartite and not polynomial, with 20 vertices and 30 edges: the
+    # other graph rows run, and the deep and matroid rows do not
+    skipped = {"bipartite-rule-vs-general", "polynomial-growth-forward"}
+    assert {name: row for name, row in rows.items() if any(row)} == {
+        name: [1, 0, 0] for name in verify.GRAPH_ROWS if name not in skipped
+    }
 
 
 def test_mask_count_is_capped_before_the_sweep(monkeypatch):
