@@ -7,7 +7,6 @@ is one more than the affine-hull dimension of that set.  All series here
 are exact integers.
 """
 
-from itertools import accumulate
 from operator import mul
 
 from .errors import Record, ResourceCapError, effective_cap
@@ -70,7 +69,10 @@ def mu_from_h(h: list, ell: int, max_power: int) -> list:
 def _weights(x, top):
     """The coefficients C(x+j-1, j) of t^0..t^top in (1 - t)^-x, each from
     the one before.  For x = -ell they are (-1)^j C(ell, j)."""
-    return list(accumulate(range(1, top + 1), lambda w, j: w * (x + j - 1) // j, initial=1))
+    weights = [1]
+    for j in range(1, top + 1):
+        weights.append(weights[-1] * (x + j - 1) // j)
+    return weights
 
 
 def is_freiman(ideal: MonomialIdeal, cap=None) -> FiberProfile:
@@ -89,14 +91,7 @@ def fiber_profile(mu: list, ell: int) -> FiberProfile:
     generator-count series at analytic spread ell: its h-prefix is
     (1, mu - ell, h2), and mu(I^2) - h2 is the bound ell*mu - C(ell, 2)."""
     h = h_vector(mu[:3], ell)
-    return FiberProfile(
-        ell=ell,
-        mu_series=tuple(mu[:3]),
-        h_partial=tuple(h),
-        freiman=h[2] == 0,
-        bound2=mu[2] - h[2],
-        h2=h[2],
-    )
+    return FiberProfile(ell, tuple(mu[:3]), tuple(h), h[2] == 0, mu[2] - h[2], h[2])
 
 
 class GrowthRow(Record):

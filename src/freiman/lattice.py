@@ -6,9 +6,12 @@ coordinate, and the width is the bit length of the largest coordinate any
 output can hold.  No field can then carry into its neighbour, so adding
 two ints adds the vectors and int equality is exactly vector equality;
 collisions under addition are the signal everything else is built on.
+Code sets in layouts up to DENSE_BITS bits wide are bitsets (bit c set iff
+code c is in), wider ones sets; _size, _doubling and _plus branch on it.
 No floating point is used anywhere.
 """
 
+from functools import reduce
 from itertools import repeat
 from math import comb
 
@@ -16,6 +19,7 @@ from .errors import Record, ResourceCapError, effective_cap
 from .linalg import integer_rank
 
 ExponentVector = tuple  # tuple[int, ...], coordinates >= 0
+DENSE_BITS = 20  # a bitset of 2^20 bits takes 128 KB
 
 
 class PointSet(Record):
@@ -83,6 +87,39 @@ def _packed_sum(rows, cap, what):
         out.update([a + b for b in bs])
         if len(out) > cap:
             raise ResourceCapError(f"{what} exceeds {cap} points", cap)
+    return out
+
+
+def _size(codes):
+    """|S| for a set of codes in either form."""
+    return codes.bit_count() if type(codes) is int else len(codes)
+
+
+def _doubling(codes, shifts, cap):
+    """(A, 2A) for the packed codes A in the fields shifts, read once:
+    row i adds code i to codes 0..i, and the cap is checked after each."""
+    dense = shifts.stop <= DENSE_BITS
+    a, out = (0, 0) if dense else ([], set())
+    for c in codes:
+        if dense:
+            a |= 1 << c
+            out |= a << c
+        else:
+            a.append(c)
+            out.update([c + b for b in a])
+        if _size(out) > cap:
+            raise ResourceCapError(f"sumset at power 2 exceeds {cap} points", cap)
+    return a, out
+
+
+def _plus(codes, last, cap, what):
+    """A + last for the packed codes A and a code set last, in last's form;
+    sizes only grow, so checking a bitset once raises where a set would."""
+    if type(last) is not int:
+        return _packed_sum(zip(codes, repeat(last)), cap, what)
+    out = reduce(int.__or__, map(last.__lshift__, codes))
+    if out.bit_count() > cap:
+        raise ResourceCapError(f"{what} exceeds {cap} points", cap)
     return out
 
 

@@ -99,20 +99,20 @@ def _enumerate_forests(g: SimpleGraph) -> tuple:
     stack = [(0, (), tuple(verts), tuple(1 << v for v in verts), g.adjacency)]
     while stack:
         i, taken, names, trees, kept = stack.pop()
-        if len(taken) == rank:
-            forests.append(taken)
+        missing = rank - len(taken)
+        if missing in (0, len(ground) - i):  # done, or every unseen edge is forced
+            forests.append(taken + tuple(range(i, i + missing)))
             continue
         u, w = ground[i]
         a, b = names[u], names[w]
         if a == b:  # closes a cycle, so it is left out
             stack.append((i + 1, taken, names, trees, kept))
             continue
-        if rank - len(taken) < len(ground) - i:
-            without = list(kept)
-            without[u] ^= 1 << w
-            without[w] ^= 1 << u
-            if _reaches(without, u, w):
-                stack.append((i + 1, taken, names, trees, without))
+        without = list(kept)
+        without[u] ^= 1 << w
+        without[w] ^= 1 << u
+        if _reaches(without, u, w):
+            stack.append((i + 1, taken, names, trees, without))
         big, small = (a, b) if trees[a].bit_count() >= trees[b].bit_count() else (b, a)
         renamed, joined = list(names), list(trees)
         for v in _vertices(trees[small]):  # rename the smaller tree only
@@ -158,18 +158,22 @@ def matroidal_ideal(g: SimpleGraph, cap=None) -> MonomialIdeal:
     return g._matroidal_ideal
 
 
+def _rows(forests, m):
+    """The 0/1 vectors in Z^m of the forests, as lists."""
+    rows = []
+    for f in forests:
+        rows.append(row := [0] * m)
+        for i in f:
+            row[i] = 1
+    return rows
+
+
 def _build_matroidal_ideal(g: SimpleGraph) -> MonomialIdeal:
     """The matroidal ideal of the unbounded g._forests."""
-    forests = g._forests
-    m = g.num_edges
-    pts = set()
-    for f in forests:
-        vec = [0] * m
-        for i in f:
-            vec[i] = 1
-        pts.add(tuple(vec))
+    forests, m = g._forests, g.num_edges
+    pts = frozenset(map(tuple, _rows(forests, m)))
     # equal-cardinality 0/1 vectors are automatically an antichain
-    return _fresh_ideal(m, frozenset(pts), ((1,) * m, len(forests[0])))
+    return _fresh_ideal(m, pts, ((1,) * m, len(forests[0])))
 
 
 def cut_vertices(g: SimpleGraph) -> frozenset:

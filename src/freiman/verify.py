@@ -8,17 +8,18 @@ Aggregation is order-independent, so chunks may be verified in parallel.
 
 The graph oracle is the edge ideal's own doubling and rank, grown one
 edge at a time: the exhaustive sweep walks each aligned block of edge
-masks depth first and carries that state from parent to child, and random
-mode grows 2A by one sumset-kernel row per edge; later powers add A to
-the last sumset.  The walk also carries the neighbour masks, components
-and 2-colourings, so a connected mask becomes a graph with no search.
+masks depth first and carries that state from parent to child (2A' =
+2A | A' << e on bitsets), and random mode grows 2A one row per edge;
+later powers add A to the last sumset.  The walk also carries the
+neighbour masks, components, 2-colourings and the 4-cycle union H, so a
+connected mask becomes a graph with no search.
 The matroid oracle packs, sums and ranks the spanning forests directly.
 """
 
 import os
 import random
 from functools import reduce
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations
 from math import comb
 
 from .errors import PreconditionError, ResourceCapError, effective_cap, cap_vertex_pairs
@@ -28,14 +29,16 @@ from .graphs import (
     SimpleGraph,
     _edge_masks,
     _four_cycle_shape,
+    _four_cycle_union_edges,
     _graph_verdict,
     _has_polynomial_edge_ring,
     _long_walk,
+    _vertices,
     is_polynomial_edge_ring,
 )
-from .lattice import _packed_sum, _shifts
+from .lattice import _doubling, _plus, _shifts, _size
 from .linalg import _extend_basis, integer_rank
-from .matroids import _trimmed_h, classify_freiman_matroid, cut_vertices, spanning_forests
+from .matroids import _rows, _trimmed_h, classify_freiman_matroid, cut_vertices, spanning_forests
 
 GRAPH_ROWS = [
     "graph-classifier-vs-numeric",
@@ -98,29 +101,33 @@ class _Tally:
                 self.counterexamples.append((name, gdict))
 
 
-# The oracle state of an edge ideal: its packed edge vectors A (in fields
-# of lattice._shifts wide enough for the highest power formed: 4A for the
-# deep rows, else 3A), the doubling 2A, and fraction-free echelon rows
-# (pivot column, row) of the 0/1 edge vectors, each zero at the pivots
-# before it, so len(basis) is the rank.
-_NO_EDGES = ((), frozenset(), ())
+# The oracle state of an edge ideal: its packed edge vectors A (in the
+# fields of _edge_shifts), A and 2A as lattice code sets (bitsets in the
+# walk), and fraction-free echelon rows (pivot column, row) of the 0/1 edge
+# vectors, each zero at the pivots before it, so len(basis) is the rank.
+_NO_EDGES = ((), 0, 0, ())
+
+
+def _edge_shifts(n):
+    """Fields on n vertices wide enough for 4A (the deep rows), else 3A."""
+    return _shifts(n, 4 if n <= DEEP_MAX_VERTICES else 3)
 
 
 def _edge_step(n, u, v):
     """The packed code and the 0/1 vector of the edge uv on vertices 1..n."""
-    shifts = _shifts(n, 4 if n <= DEEP_MAX_VERTICES else 3)
+    shifts = _edge_shifts(n)
     row = [0] * n
     row[u - 1] = row[v - 1] = 1
     return 1 << shifts[u - 1] | 1 << shifts[v - 1], row
 
 
 def _grow(state, step):
-    """The oracle state with one more edge e: e joins A, e + a joins 2A for
-    a in A and a = e, and e's row extends the basis."""
-    codes, doubling, basis = state
+    """The walk's oracle state with one more edge e: e joins A, e + a joins
+    2A for a in A and a = e, and e's row extends the basis."""
+    codes, a, doubling, basis = state
     code, row = step
-    codes += (code,)
-    return codes, doubling.union(map(code.__add__, codes)), _extend_basis(basis, row)
+    a |= 1 << code
+    return codes + (code,), a, doubling | a << code, _extend_basis(basis, row)
 
 
 def _check_graph_instance(g, oracle, tally, cap):
@@ -130,10 +137,10 @@ def _check_graph_instance(g, oracle, tally, cap):
     # the oracle: the edge ideal's own sumset and rank, no classifier fact.
     # Every edge vector lies on x_1 + ... + x_n = 2, which misses the
     # origin, so the rank is the analytic spread (affine dimension + 1).
-    codes, doubling, basis = oracle
-    if len(doubling) > cap:
+    codes, _, doubling, basis = oracle
+    if (size := _size(doubling)) > cap:
         raise ResourceCapError(f"sumset at power 2 exceeds {cap} points", cap)
-    profile = fiber_profile((1, len(codes), len(doubling)), len(basis))
+    profile = fiber_profile((1, len(codes), size), len(basis))
     tally.record("graph-classifier-vs-numeric", freiman == profile.freiman, g)
     tally.record("doubling-h2-nonnegative", profile.h2 >= 0, g)
     tally.record("spread-upper-bound", profile.ell <= min(profile.mu_series[1], g.n), g)
@@ -169,11 +176,11 @@ def _check_graph_instance(g, oracle, tally, cap):
 
 def _mu(codes, doubling, top, cap):
     """[1, |A|, |2A|, ..., |top A|] for the packed codes A with doubling 2A;
-    each later power is one sumset-kernel row per code of A."""
-    mu, last = [1, len(codes), len(doubling)], doubling
+    each later power adds A to the one before."""
+    mu, last = [1, len(codes), _size(doubling)], doubling
     for k in range(3, top + 1):
-        last = _packed_sum(zip(codes, repeat(last)), cap, f"sumset at power {k}")
-        mu.append(len(last))
+        last = _plus(codes, last, cap, f"sumset at power {k}")
+        mu.append(_size(last))
     return mu
 
 
@@ -212,26 +219,21 @@ def _check_deep_instance(g, codes, doubling, profile, tally, cap):
 def _check_matroid_instance(g, tally, cap):
     """All matroid-side rows on one graph with at least one edge, against
     the closed-form verdict.  The oracle packs the spanning forests, forms
-    their sumsets (to 3A if Freiman, else to (e - 1)A for the regularity
-    row) and ranks them: they lie on x_1 + ... + x_e = n - s, which misses
-    the origin, so the rank is the analytic spread."""
+    their sumsets (to 3A if Freiman, else to (e - 1)A in wider fields for
+    the regularity row) and ranks them: they lie on x_1 + ... + x_e = n - s,
+    which misses the origin, so the rank is the analytic spread."""
     verdict = classify_freiman_matroid(g)
-    shifts = _shifts(g.num_edges, max(g.num_edges - 1, 3))
     try:
         forests = spanning_forests(g, cap=cap)
-        codes = [sum(1 << shifts[i] for i in f) for f in forests]
-        pairs = ((a, codes[i:]) for i, a in enumerate(codes))
-        doubling = _packed_sum(pairs, cap, "sumset at power 2")
+        codes, doubling = _packed_forests(forests, _shifts(g.num_edges, 3), cap)
     except ResourceCapError:
         for name in MATROID_ROWS:
             tally.skip(name)
         return
-    ell = integer_rank([[int(i in f) for i in range(g.num_edges)] for f in forests])
-    profile = fiber_profile((1, len(codes), len(doubling)), ell)
+    ell = integer_rank(_rows(forests, g.num_edges))
+    profile = fiber_profile((1, len(codes), _size(doubling)), ell)
     tally.record("matroid-classifier-vs-numeric", verdict.freiman == profile.freiman, g)
-    tally.record(
-        "matroid-spread-formula-vs-numeric", verdict.spread_formula == profile.ell, g
-    )
+    tally.record("matroid-spread-formula-vs-numeric", verdict.spread_formula == profile.ell, g)
     tally.record("forest-count-matrix-tree", len(codes) == g.forest_count, g)
     if verdict.freiman:
         try:
@@ -242,6 +244,7 @@ def _check_matroid_instance(g, tally, cap):
             tally.skip("matroid-polynomial-growth")
     elif g.num_edges <= REGULARITY_MAX_EDGES:
         try:
+            codes, doubling = _packed_forests(forests, _shifts(g.num_edges, g.num_edges - 1), cap)
             reg = len(_trimmed_h(_mu(codes, doubling, g.num_edges - 1, cap), ell))
             # c = 0 and s = 1 on a 2-connected graph: the bound is e - 1
             c = len(cut_vertices(g))
@@ -250,6 +253,12 @@ def _check_matroid_instance(g, tally, cap):
             tally.record("matroid-regularity-bounds", ok, g)
         except ResourceCapError:
             tally.skip("matroid-regularity-bounds")
+
+
+def _packed_forests(forests, shifts, cap):
+    """The forests packed in the fields shifts, and their doubling."""
+    codes = [sum(1 << shifts[i] for i in f) for f in forests]
+    return codes, _doubling(codes, shifts, cap)[1]
 
 
 def _is_canonical_mask(n, mask, pairs):
@@ -280,22 +289,35 @@ def _join(parts, u, v):
     return comps, colour ^ cv if same else colour, odd | both if odd & both else odd
 
 
+def _add_four_cycles(h, adj, u, v):
+    """The 4-cycle union h of the neighbour masks adj once the edge uv is
+    in: the new 4-cycles are u-v-a-b with a in N(v) and b in N(u) & N(a)."""
+    new = list(h)
+    for a in _vertices(adj[v]):
+        if common := adj[u] & adj[a]:
+            new[u] |= 1 << v | common
+            new[v] |= 1 << u | 1 << a
+            new[a] |= 1 << v | common
+            for b in _vertices(common):
+                new[b] |= 1 << u | 1 << a
+    return tuple(new)
+
+
 def _sweep_chunk(args):
     """Check every connected graph whose mask lies in the aligned block
     [lo, hi) of 2^b masks, by a depth-first walk that carries the oracle
     state: the root folds in the block's fixed high bits, and each child
     adds one edge bit below its parent's lowest bit, in increasing bit
-    order.  Pre-order then visits the masks in increasing order.  The
-    walk carries the neighbour masks and the components (_join) too."""
+    order.  Pre-order then visits the masks in increasing order.  The walk
+    carries the neighbour masks, H (_add_four_cycles) and components too."""
     (n, lo, hi, cap, max_edges, up_to_iso) = args
     pairs = list(combinations(range(1, n + 1), 2))
     steps = [_edge_step(n, u, v) for u, v in pairs]
-    bits = [_edge_masks(n + 1, [p]) for p in pairs]
     everyone = (1 << n + 1) - 2
     tally = _Tally()
     graphs_seen = 0
 
-    def walk(mask, below, edges, adj, parts, oracle):
+    def walk(mask, below, edges, adj, h, parts, oracle):
         nonlocal graphs_seen
         comps, colour, odd = parts
         if comps[1] == everyone and (
@@ -303,23 +325,26 @@ def _sweep_chunk(args):
         ):
             side = colour ^ everyone if colour & 2 else colour  # vertex 1's side first
             coloring = (everyone, None if odd else (everyone ^ side, side), len(edges))
-            g = SimpleGraph._trusted(
-                n, frozenset(edges), adjacency=adj, component_colorings=(coloring,)
-            )
+            g = SimpleGraph._trusted(n, frozenset(edges), adjacency=adj, four_cycle_adjacency=h,
+                                     component_colorings=(coloring,))
             graphs_seen += 1
             _check_graph_instance(g, oracle, tally, cap)
             if g.num_edges <= max_edges:
                 _check_matroid_instance(g, tally, cap)
         for i in range(below):
-            child = tuple(map(int.__or__, adj, bits[i]))
-            joined = _join(parts, *pairs[i])
-            walk(mask | 1 << i, i, edges + (pairs[i],), child, joined, _grow(oracle, steps[i]))
+            u, v = pairs[i]
+            child = list(adj)
+            child[u] |= 1 << v
+            child[v] |= 1 << u
+            walk(mask | 1 << i, i, edges + (pairs[i],), tuple(child),
+                 _add_four_cycles(h, adj, u, v), _join(parts, u, v), _grow(oracle, steps[i]))
 
     # lo is aligned, so its set bits are the block's fixed high bits
     fixed = tuple(pairs[i] for i in range(len(pairs)) if lo >> i & 1)
     oracle = reduce(_grow, [_edge_step(n, u, v) for u, v in fixed], _NO_EDGES)
     parts = reduce(lambda p, e: _join(p, *e), fixed, (tuple(1 << v for v in range(n + 1)), 0, 0))
-    walk(lo, (hi - lo).bit_length() - 1, fixed, _edge_masks(n + 1, fixed), parts, oracle)
+    adj = _edge_masks(n + 1, fixed)
+    walk(lo, (hi - lo).bit_length() - 1, fixed, adj, _four_cycle_union_edges(adj), parts, oracle)
     return tally.rows, tally.counterexamples, graphs_seen
 
 
@@ -330,9 +355,8 @@ def _random_chunk(args):
         g = SimpleGraph(gd["n"], frozenset(tuple(e) for e in gd["edges"]))
         codes, rows = zip(*(_edge_step(g.n, *e) for e in g.edges))
         # row i adds edge i to edges 0..i: stop at the first 2A over the cap
-        pairs = ((code, codes[: i + 1]) for i, code in enumerate(codes))
-        doubling = _packed_sum(pairs, cap, "sumset at power 2")
-        oracle = (codes, doubling, reduce(_extend_basis, rows, ()))
+        a, doubling = _doubling(codes, _edge_shifts(g.n), cap)
+        oracle = (codes, a, doubling, reduce(_extend_basis, rows, ()))
         _check_graph_instance(g, oracle, tally, cap)
         if g.num_edges <= max_edges:
             _check_matroid_instance(g, tally, cap)

@@ -1,7 +1,9 @@
 """Sumset arithmetic against brute-force oracles and the doubling bounds."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freiman import (
@@ -17,6 +19,7 @@ from freiman import (
     power,
     sumset,
 )
+from freiman import lattice
 from helpers import (
     brute_affine_dim,
     brute_ksum,
@@ -250,3 +253,62 @@ def test_sumset_cap():
     assert len(sumset(K4, K4, cap=19)) == 19
     with pytest.raises(ResourceCapError, match="sumset exceeds 18 points"):
         sumset(K4, K4, cap=18)
+
+
+def _helper_chain(codes, shifts, cap, top):
+    """|A|, |2A|, ..., |top A| through the code-set helpers, and whether
+    2A came back as a bitset; or the message of the cap error."""
+    try:
+        a, last = lattice._doubling(iter(codes), shifts, cap)
+        dense = type(last) is int
+        sizes = [lattice._size(a), lattice._size(last)]
+        for k in range(3, top + 1):
+            last = lattice._plus(codes, last, cap, f"sumset at power {k}")
+            sizes.append(lattice._size(last))
+    except ResourceCapError as exc:
+        return str(exc)
+    return sizes, dense
+
+
+# up to 8 coordinates of up to 3, in fields wide enough for 4A: layouts of
+# 1 to 32 bits, on both sides of DENSE_BITS = 20
+code_sets = st.integers(min_value=1, max_value=8).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda top: st.sets(
+                st.tuples(*[st.integers(min_value=0, max_value=top)] * dim),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(code_sets, st.integers(min_value=1, max_value=400))
+@example((2, {(0, 3), (1, 1), (3, 0), (2, 2)}), 400)  # 8 bits
+@example((6, {(3, 0, 1, 0, 2, 0), (0, 1, 0, 3, 0, 1), (1, 1, 1, 1, 1, 1)}), 400)  # 24 bits
+@example((6, {(3, 0, 1, 0, 2, 0), (0, 1, 0, 3, 0, 1), (1, 1, 1, 1, 1, 1)}), 9)  # |3A| = 10
+def test_dense_and_sparse_code_sets_agree_with_brute_force(drawn, cap):
+    dim, points = drawn
+    shifts = lattice._shifts(dim, 4 * max(map(max, points)))
+    codes = lattice._pack(points, shifts)
+    sizes = [len(brute_ksum(points, k)) for k in range(1, 5)]
+    over = next((k for k in range(2, 5) if sizes[k - 1] > cap), None)
+    if over is None:
+        expected = sizes
+    else:
+        expected = (
+            f"resource cap exceeded: sumset at power {over} exceeds {cap} points (cap {cap})"
+        )
+    # the default form, then each form forced; a bitset of a layout wider
+    # than 24 bits would take more than 2 MB, so it is not forced
+    forms = [(lattice.DENSE_BITS, shifts.stop <= lattice.DENSE_BITS), (0, False)]
+    if shifts.stop <= 24:
+        forms.append((24, True))
+    for dense_bits, dense in forms:
+        with mock.patch.object(lattice, "DENSE_BITS", dense_bits):
+            got = _helper_chain(codes, shifts, cap, 4)
+        assert got == (expected if over else (expected, dense)), dense_bits

@@ -8,12 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from freiman import verify
+from freiman import lattice, verify
 from freiman.cli import main
 from freiman.errors import DEFAULT_CAP, PreconditionError, ResourceCapError, lazy
 from freiman.fiber import is_freiman
 from freiman.graphs import SimpleGraph, classify_freiman_graph, edge_ideal
-from freiman.lattice import _packed_sum
 from freiman.linalg import integer_rank
 from freiman.verify import (
     ALL_ROWS,
@@ -113,9 +112,11 @@ def _numbers(profile):
 
 
 def _oracle_numbers(oracle):
-    """(mu(I), mu(I^2), ell) held by a walk's oracle state."""
-    codes, doubling, basis = oracle
-    return len(codes), len(doubling), len(basis)
+    """(mu(I), mu(I^2), ell) held by a walk's oracle state, whose code
+    sets A and 2A are read through lattice."""
+    codes, a, doubling, basis = oracle
+    assert lattice._size(a) == len(codes)
+    return len(codes), lattice._size(doubling), len(basis)
 
 
 def test_walk_oracle_matches_is_freiman_on_small_graphs(monkeypatch):
@@ -276,33 +277,46 @@ def test_random_mode_caps_the_vertex_pairs_before_drawing(monkeypatch, capsys):
         run_verify(mode="random", max_vertices=13, cap=10, jobs=1)
 
 
-def test_random_oracle_stops_once_the_doubling_passes_the_cap(monkeypatch):
-    drawn = []  # the (edge code, earlier codes) rows the kernel consumed
+def _stopped_doubling_forms(monkeypatch, n, cap):
+    """Check that random mode on K_n stops at the first edge whose 2A
+    passes cap, well before the C(n, 2) edges, and return whether each
+    doubling's layout (2n bits) was dense."""
+    drawn = []  # the edge codes the row-by-row doubling consumed
+    forms = []
 
-    def spy(rows, cap, what):
+    def spy(codes, shifts, cap):
         def counted():
-            for row in rows:
-                drawn.append(row)
-                yield row
+            for code in codes:
+                drawn.append(code)
+                yield code
 
-        return _packed_sum(counted(), cap, what)
+        forms.append(shifts.stop <= lattice.DENSE_BITS)
+        return lattice._doubling(counted(), shifts, cap)
 
     def no_check(*args):
         raise AssertionError("the graph was checked")
 
-    monkeypatch.setattr(verify, "_packed_sum", spy)
+    monkeypatch.setattr(verify, "_doubling", spy)
     monkeypatch.setattr(verify, "_check_graph_instance", no_check)
-    k8 = {"n": 8, "edges": [list(e) for e in combinations(range(1, 9), 2)]}
+    kn = {"n": n, "edges": [list(e) for e in combinations(range(1, n + 1), 2)]}
     with pytest.raises(ResourceCapError) as exc:
-        _random_chunk(([k8], 50, 6))
-    assert str(exc.value) == SUMSET_CAP_MESSAGE.format(50, 50)
-    # the first edge whose 2A passes the cap ends the build, well before
-    # the 28 edges of K8
-    codes = [code for code, _ in drawn]
+        _random_chunk(([kn], cap, 6))
+    assert str(exc.value) == SUMSET_CAP_MESSAGE.format(cap, cap)
     before, after = (
-        len({a + b for a in codes[:k] for b in codes[:k]}) for k in (len(codes) - 1, len(codes))
+        len({a + b for a in drawn[:k] for b in drawn[:k]}) for k in (len(drawn) - 1, len(drawn))
     )
-    assert after > 50 >= before and len(codes) < 28
+    assert after > cap >= before and len(drawn) < n * (n - 1) // 2
+    return forms
+
+
+def test_random_oracle_stops_once_the_doubling_passes_the_cap(monkeypatch):
+    # K8's 16-bit layout holds 2A as a bitset
+    assert _stopped_doubling_forms(monkeypatch, 8, 50) == [True]
+
+
+def test_random_oracle_stops_at_the_cap_on_a_sparse_layout(monkeypatch):
+    # K12's 24-bit layout holds 2A as a set
+    assert _stopped_doubling_forms(monkeypatch, 12, 200) == [False]
 
 
 def test_verify_counts_match_the_benchmark_record():
@@ -378,7 +392,9 @@ def test_walk_graphs_equal_validated_graphs(monkeypatch):
     for g, held in seen:
         ref = SimpleGraph(g.n, frozenset(g.edges))
         assert type(g) is SimpleGraph
-        assert held == {"n", "edges", "adjacency", "component_colorings"}
+        assert held == {
+            "n", "edges", "adjacency", "component_colorings", "four_cycle_adjacency",
+        }
         assert (g.n, g.edges) == (ref.n, ref.edges)
         assert type(g.edges) is frozenset
         assert g == ref and hash(g) == hash(ref) and repr(g) == repr(ref)
@@ -393,7 +409,7 @@ def test_echelon_basis_has_the_rank_of_the_edge_rows():
         steps = [_edge_step(n, u, v) for u, v in pairs]
         for mask in range(1 << len(pairs)):
             chosen = [steps[i] for i in range(len(pairs)) if mask >> i & 1]
-            _, _, basis = reduce(_grow, chosen, _NO_EDGES)
+            *_, basis = reduce(_grow, chosen, _NO_EDGES)
             assert len(basis) == integer_rank([row for _, row in chosen]), (n, mask)
             for k, (p, row) in enumerate(basis):
                 assert row[p] and all(row[q] == 0 for q, _ in basis[:k]), (n, mask)
