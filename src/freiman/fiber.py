@@ -11,7 +11,7 @@ from operator import mul
 
 from .errors import Record, ResourceCapError, effective_cap
 from .ideals import MonomialIdeal, with_witness
-from .lattice import _dilations, affine_dim, generalized_lower_bound
+from .lattice import _dilations, affine_dim, freiman_lower_bound, generalized_lower_bound
 
 
 class FiberProfile(Record):
@@ -51,12 +51,16 @@ def h_vector(mu: list, ell: int) -> list:
     Entries may be negative for non-Cohen-Macaulay fiber cones; only the
     returned prefix is determined by the given series.
     """
+    _check_series(mu, ell)
+    weights = _weights(-ell, len(mu) - 1)
+    return [sum(map(mul, weights[k::-1], mu)) for k in range(len(mu))]
+
+
+def _check_series(mu, ell):
     if not mu or mu[0] != 1:
         raise ValueError("a generator-count series must start with mu(I^0) = 1")
     if ell < 1:
         raise ValueError("analytic spread must be >= 1")
-    weights = _weights(-ell, len(mu) - 1)
-    return [sum(map(mul, weights[k::-1], mu)) for k in range(len(mu))]
 
 
 def mu_from_h(h: list, ell: int, max_power: int) -> list:
@@ -88,10 +92,13 @@ def is_freiman(ideal: MonomialIdeal, cap=None) -> FiberProfile:
 
 def fiber_profile(mu: list, ell: int) -> FiberProfile:
     """The Freiman verdict read off the prefix (1, mu(I), mu(I^2)) of a
-    generator-count series at analytic spread ell: its h-prefix is
-    (1, mu - ell, h2), and mu(I^2) - h2 is the bound ell*mu - C(ell, 2)."""
-    h = h_vector(mu[:3], ell)
-    return FiberProfile(ell, tuple(mu[:3]), tuple(h), h[2] == 0, mu[2] - h[2], h[2])
+    generator-count series at analytic spread ell, in closed form: h2 is
+    mu(I^2) less Freiman's bound ell*mu - C(ell, 2), and the h-prefix is
+    (1, mu - ell, h2), as h_vector gives it."""
+    _check_series(mu, ell)
+    bound = freiman_lower_bound(mu[1], ell - 1)
+    h2 = mu[2] - bound
+    return FiberProfile(ell, tuple(mu[:3]), (1, mu[1] - ell, h2), h2 == 0, bound, h2)
 
 
 class GrowthRow(Record):
@@ -136,14 +143,5 @@ def _growth(mu, ell) -> GrowthReport:
     rows = []
     for k in range(2, len(mu)):
         bound = generalized_lower_bound(mu[1], ell, k)
-        rows.append(
-            GrowthRow(
-                k=k,
-                mu_k=mu[k],
-                lower_bound=bound,
-                equality=mu[k] == bound,
-                partial_sum=partials[k],
-                nonnegative=partials[k] >= 0,
-            )
-        )
+        rows.append(GrowthRow(k, mu[k], bound, mu[k] == bound, partials[k], partials[k] >= 0))
     return GrowthReport(ell=ell, mu=tuple(mu), h=tuple(h), rows=tuple(rows))

@@ -45,9 +45,10 @@ class SimpleGraph(Record):
       blocks                 -- one vertex mask per block (maximal 2-connected
                                 subgraph or bridge), from one lowpoint DFS
       forest_count           -- number of spanning forests (matrix-tree)
-      _forests               -- the spanning forests themselves; read them
+      _forests               -- the spanning forests themselves, as masks
+                                of indices into sorted_edges(); read them
                                 through matroids.spanning_forests, which
-                                applies the cap first
+                                applies the cap first and lists each one
       _matroidal_ideal       -- the ideal of those forests; read it
                                 through matroids.matroidal_ideal, which
                                 applies the same cap first
@@ -233,28 +234,29 @@ def _blocks(adj):
             continue
         t += 1
         disc[start] = low[start] = t
-        stack = [[start, 0, adj[start]]]  # vertex, parent, unscanned neighbours
+        stack = [[start, adj[start]]]  # vertex, unscanned neighbours but its parent
         while stack:
             top = stack[-1]
-            u, parent, rest = top
+            u, rest = top
             while rest:
                 low_bit = rest & -rest
                 rest ^= low_bit
                 w = low_bit.bit_length() - 1
                 if not disc[w]:
-                    top[2] = rest
+                    top[1] = rest
                     t += 1
                     disc[w] = low[w] = t
-                    stack.append([w, u, adj[w]])
+                    stack.append([w, adj[w] & ~(1 << u)])
                     visited.append(w)
                     break
-                if w != parent:
-                    low[u] = min(low[u], disc[w])
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
             else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
+                    if low[u] < low[p]:
+                        low[p] = low[u]
                     if low[u] >= disc[p]:
                         block = 1 << p
                         while not block >> u & 1:
@@ -372,11 +374,14 @@ def _four_cycle_shape(g, mask):
         hubs = h[(hubs & -hubs).bit_length() - 1]
         if hubs.bit_count() != 2:
             return None
-    a, b = _vertices(hubs)
-    side = h[a]
-    if h[b] != side or verts != hubs | side:
+    a = hubs & -hubs
+    side = h[a.bit_length() - 1]
+    if h[(hubs ^ a).bit_length() - 1] != side or verts != hubs | side:
         return None
-    return side.bit_count() if all(h[v] == hubs for v in _vertices(side)) else None
+    for v in _vertices(side):
+        if h[v] != hubs:
+            return None
+    return side.bit_count()
 
 
 def has_long_primitive_even_walk(g: SimpleGraph, cap=None):

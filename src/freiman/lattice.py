@@ -95,10 +95,10 @@ def _size(codes):
     return codes.bit_count() if type(codes) is int else len(codes)
 
 
-def _doubling(codes, shifts, cap):
-    """(A, 2A) for the packed codes A in the fields shifts, read once:
+def _doubling(codes, bits, cap):
+    """(A, 2A) for the packed codes A in a layout of bits bits, read once:
     row i adds code i to codes 0..i, and the cap is checked after each."""
-    dense = shifts.stop <= DENSE_BITS
+    dense = bits <= DENSE_BITS
     a, out = (0, 0) if dense else ([], set())
     for c in codes:
         if dense:

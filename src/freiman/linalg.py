@@ -38,7 +38,10 @@ def _bareiss(rows):
     r = 0
     sign = prev = 1
     for c in range(len(m[0]) if m else 0):
-        if (piv := next((i for i in range(r, len(m)) if m[i][c]), None)) is None:
+        for piv in range(r, len(m)):
+            if m[piv][c]:
+                break
+        else:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]

@@ -9,11 +9,15 @@ the base ring is read off the sumset series directly; its degree is at
 most e - 2, which justifies declaring trailing zeros exact.
 """
 
+from itertools import compress
+
 from .errors import PreconditionError, Record, ResourceCapError, effective_cap
 from .fiber import h_vector, mu_series
 from .graphs import SimpleGraph, _vertices, cyclomatic_number
 from .ideals import MonomialIdeal, _fresh_ideal
 from .linalg import integer_det
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # the digits "0" and "1" as the bytes 0 and 1
 
 
 class CycleMatroid(Record):
@@ -27,8 +31,7 @@ class CycleMatroid(Record):
     def __post_init__(self):
         if not self.bases:
             raise ValueError("a cycle matroid must have at least one basis")
-        sizes = {len(b) for b in self.bases}
-        if len(sizes) != 1:
+        if len({len(b) for b in self.bases}) != 1:
             raise ValueError("bases must all have the same size")
 
 
@@ -44,17 +47,20 @@ class MatroidVerdict(Record):
 def matrix_tree_count(g: SimpleGraph) -> int:
     """Number of spanning forests, one spanning tree per block: the product
     of reduced Laplacian determinants over the blocks with >= 3 vertices,
-    as a bridge is its own only tree.  Read it as g.forest_count."""
+    as a bridge is its own only tree, and a k-cycle, a block whose
+    vertices but one have degree 2 in it, has k.  Read it as g.forest_count."""
     adj = g.adjacency
     total = 1
     for block in g.blocks:
         if block.bit_count() < 3:
             continue  # a bridge
         verts = _vertices(block)[:-1]
-        reduced = [[-(adj[v] >> w & 1) for w in verts] for v in verts]
-        for i, v in enumerate(verts):
-            reduced[i][i] = (adj[v] & block).bit_count()
-        total *= integer_det(reduced)
+        degrees = [(adj[v] & block).bit_count() for v in verts]
+        if sum(degrees) == 2 * len(verts):
+            total *= len(verts) + 1
+        else:
+            total *= integer_det([[d if v == w else -(adj[v] >> w & 1) for w in verts]
+                                  for v, d in zip(verts, degrees)])
     return total
 
 
@@ -62,11 +68,12 @@ def spanning_forests(g: SimpleGraph, cap=None) -> list:
     """All spanning forests as sorted tuples of edge indices into
     g.sorted_edges(), in lexicographic order.
 
-    The forests are enumerated once per graph (g._forests); every call
-    first checks the cap and hands out a fresh list.
+    The forests are enumerated once per graph (g._forests, as edge-index
+    masks); every call first checks the cap and lists them afresh.
     """
     _check_forest_cap(g, cap)
-    return list(g._forests)
+    edges = range(g.num_edges)
+    return [tuple(compress(edges, row)) for row in _rows(g._forests, g.num_edges)]
 
 
 def _check_forest_cap(g: SimpleGraph, cap):
@@ -74,15 +81,13 @@ def _check_forest_cap(g: SimpleGraph, cap):
     forest search ends in a forest, so this one check bounds its work."""
     if not g.edges:
         raise PreconditionError("an edgeless graph has no spanning forests")
-    cap = effective_cap(cap)
-    expected = g.forest_count
-    if expected > cap:
+    if (expected := g.forest_count) > (cap := effective_cap(cap)):
         raise ResourceCapError(f"{expected} spanning forests", cap)
 
 
 def _enumerate_forests(g: SimpleGraph) -> tuple:
-    """Spanning forests by a depth-first search over the sorted edges, in
-    the manner of Read and Tarjan (1975), cross-checked against the
+    """Spanning forests as masks of indices into the sorted edges, by a DFS
+    in the manner of Read and Tarjan (1975), cross-checked against the
     matrix-tree count.  Unbounded: spanning_forests checks the cap.
 
     Edge i is taken when its ends lie in different trees of the forest
@@ -91,34 +96,34 @@ def _enumerate_forests(g: SimpleGraph) -> tuple:
     a forest, and taking first yields them in lexicographic order.
     """
     ground = g.sorted_edges()
-    rank = g.n - len(g.component_colorings)
+    e, rank = len(ground), g.n - len(g.component_colorings)
     forests = []
-    # edge index, taken edges, per-vertex tree names, per-name tree masks,
-    # kept neighbour masks
+    # edge index, taken edge mask, per-vertex tree names, per-name tree
+    # masks, kept neighbour masks
     verts = range(g.n + 1)
-    stack = [(0, (), tuple(verts), tuple(1 << v for v in verts), g.adjacency)]
+    stack = [(0, 0, tuple(verts), tuple(1 << v for v in verts), g.adjacency)]
     while stack:
         i, taken, names, trees, kept = stack.pop()
-        missing = rank - len(taken)
-        if missing in (0, len(ground) - i):  # done, or every unseen edge is forced
-            forests.append(taken + tuple(range(i, i + missing)))
+        missing = rank - taken.bit_count()
+        if missing == 0 or missing == e - i:  # done, or every unseen edge is forced
+            forests.append(taken | ((1 << missing) - 1) << i)
             continue
         u, w = ground[i]
         a, b = names[u], names[w]
         if a == b:  # closes a cycle, so it is left out
             stack.append((i + 1, taken, names, trees, kept))
             continue
-        without = list(kept)
-        without[u] ^= 1 << w
-        without[w] ^= 1 << u
-        if _reaches(without, u, w):
+        if _reaches(kept, u, w):
+            without = list(kept)
+            without[u] ^= 1 << w
+            without[w] ^= 1 << u
             stack.append((i + 1, taken, names, trees, without))
         big, small = (a, b) if trees[a].bit_count() >= trees[b].bit_count() else (b, a)
         renamed, joined = list(names), list(trees)
         for v in _vertices(trees[small]):  # rename the smaller tree only
             renamed[v] = big
         joined[big] |= trees[small]
-        stack.append((i + 1, taken + (i,), renamed, joined, kept))
+        stack.append((i + 1, taken | 1 << i, renamed, joined, kept))
     if len(forests) != g.forest_count:
         raise ArithmeticError(
             f"forest enumeration found {len(forests)}, matrix-tree says {g.forest_count}"
@@ -127,9 +132,11 @@ def _enumerate_forests(g: SimpleGraph) -> tuple:
 
 
 def _reaches(adj, u, w):
-    """Whether a path joins u to w in the graph of the neighbour masks
-    adj, by a BFS from u that stops once it sees w."""
-    seen = frontier = 1 << u
+    """Whether a path other than the edge uw joins u to w in the graph of
+    the neighbour masks adj, by a BFS from u that stops once it sees w:
+    u's first step skips w, and w is never expanded."""
+    frontier = adj[u] & ~(1 << w)
+    seen = 1 << u | frontier
     while frontier and not seen >> w & 1:
         reach = 0
         while frontier:
@@ -142,11 +149,7 @@ def _reaches(adj, u, w):
 
 
 def cycle_matroid(g: SimpleGraph, cap=None) -> CycleMatroid:
-    return CycleMatroid(
-        source=g,
-        ground=tuple(g.sorted_edges()),
-        bases=tuple(spanning_forests(g, cap=cap)),
-    )
+    return CycleMatroid(g, tuple(g.sorted_edges()), tuple(spanning_forests(g, cap=cap)))
 
 
 def matroidal_ideal(g: SimpleGraph, cap=None) -> MonomialIdeal:
@@ -158,14 +161,11 @@ def matroidal_ideal(g: SimpleGraph, cap=None) -> MonomialIdeal:
     return g._matroidal_ideal
 
 
-def _rows(forests, m):
-    """The 0/1 vectors in Z^m of the forests, as lists."""
-    rows = []
-    for f in forests:
-        rows.append(row := [0] * m)
-        for i in f:
-            row[i] = 1
-    return rows
+def _rows(masks, m):
+    """The 0/1 vectors in Z^m of the edge-index masks, as bytes: the
+    binary digits of each mask, lowest first."""
+    digits = f"0{m}b"
+    return [format(f, digits)[::-1].encode().translate(_BITS) for f in masks]
 
 
 def _build_matroidal_ideal(g: SimpleGraph) -> MonomialIdeal:
@@ -173,7 +173,7 @@ def _build_matroidal_ideal(g: SimpleGraph) -> MonomialIdeal:
     forests, m = g._forests, g.num_edges
     pts = frozenset(map(tuple, _rows(forests, m)))
     # equal-cardinality 0/1 vectors are automatically an antichain
-    return _fresh_ideal(m, pts, ((1,) * m, len(forests[0])))
+    return _fresh_ideal(m, pts, ((1,) * m, forests[0].bit_count()))
 
 
 def cut_vertices(g: SimpleGraph) -> frozenset:

@@ -13,7 +13,9 @@ masks depth first and carries that state from parent to child (2A' =
 later powers add A to the last sumset.  The walk also carries the
 neighbour masks, components, 2-colourings and the 4-cycle union H, so a
 connected mask becomes a graph with no search.
-The matroid oracle packs, sums and ranks the spanning forests directly.
+The matroid oracle reads the spanning forests as edge masks, packs each
+mask's binary digits in base 4 (3A) or base e ((e - 1)A), and sums and
+ranks them directly.
 """
 
 import os
@@ -34,11 +36,10 @@ from .graphs import (
     _has_polynomial_edge_ring,
     _long_walk,
     _vertices,
-    is_polynomial_edge_ring,
 )
 from .lattice import _doubling, _plus, _shifts, _size
 from .linalg import _extend_basis, integer_rank
-from .matroids import _rows, _trimmed_h, classify_freiman_matroid, cut_vertices, spanning_forests
+from .matroids import _check_forest_cap, _rows, _trimmed_h, classify_freiman_matroid, cut_vertices
 
 GRAPH_ROWS = [
     "graph-classifier-vs-numeric",
@@ -133,7 +134,7 @@ def _grow(state, step):
 def _check_graph_instance(g, oracle, tally, cap):
     """All graph-side rows on one graph with at least one edge, whose
     edge ideal has the oracle state oracle."""
-    freiman = _graph_verdict(g)[0]
+    freiman, reason, clauses = _graph_verdict(g)
     # the oracle: the edge ideal's own sumset and rank, no classifier fact.
     # Every edge vector lies on x_1 + ... + x_n = 2, which misses the
     # origin, so the rank is the analytic spread (affine dimension + 1).
@@ -163,7 +164,10 @@ def _check_graph_instance(g, oracle, tally, cap):
     deficit = profile.mu_series[2] < comb(m + 1, 2)
     tally.record("four-cycle-doubling-deficit", has_c4 == deficit, g)
 
-    if is_polynomial_edge_ring(g):
+    # the edge ring is polynomial iff every clause is; a lone clause is the reason
+    if reason == "no-primitive-walks" or len(clauses) > 1 and all(
+        why == "no-primitive-walks" for *_, why in clauses
+    ):
         try:
             ok = _mu(codes, doubling, 3, cap) == [1, m, comb(m + 1, 2), comb(m + 2, 3)]
             tally.record("polynomial-growth-forward", ok, g)
@@ -218,19 +222,23 @@ def _check_deep_instance(g, codes, doubling, profile, tally, cap):
 
 def _check_matroid_instance(g, tally, cap):
     """All matroid-side rows on one graph with at least one edge, against
-    the closed-form verdict.  The oracle packs the spanning forests, forms
-    their sumsets (to 3A if Freiman, else to (e - 1)A in wider fields for
-    the regularity row) and ranks them: they lie on x_1 + ... + x_e = n - s,
-    which misses the origin, so the rank is the analytic spread."""
+    the closed-form verdict.  The oracle packs each spanning forest's edge
+    mask as base-B digits, B = 4 (to 3A) if Freiman, else B = e (to
+    (e - 1)A, for the regularity row), forms their sumsets and ranks their
+    0/1 vectors: they lie on x_1 + ... + x_e = n - s, which misses the
+    origin, so the rank is the analytic spread."""
     verdict = classify_freiman_matroid(g)
+    e = g.num_edges
     try:
-        forests = spanning_forests(g, cap=cap)
-        codes, doubling = _packed_forests(forests, _shifts(g.num_edges, 3), cap)
+        _check_forest_cap(g, cap)
+        forests = g._forests
+        codes = [int(bin(f)[2:], 4) for f in forests]
+        doubling = _doubling(codes, 2 * e, cap)[1]
     except ResourceCapError:
         for name in MATROID_ROWS:
             tally.skip(name)
         return
-    ell = integer_rank(_rows(forests, g.num_edges))
+    ell = integer_rank(_rows(forests, e))
     profile = fiber_profile((1, len(codes), _size(doubling)), ell)
     tally.record("matroid-classifier-vs-numeric", verdict.freiman == profile.freiman, g)
     tally.record("matroid-spread-formula-vs-numeric", verdict.spread_formula == profile.ell, g)
@@ -242,23 +250,19 @@ def _check_matroid_instance(g, tally, cap):
             tally.record("matroid-polynomial-growth", ok, g)
         except ResourceCapError:
             tally.skip("matroid-polynomial-growth")
-    elif g.num_edges <= REGULARITY_MAX_EDGES:
+    elif e <= REGULARITY_MAX_EDGES:
         try:
-            codes, doubling = _packed_forests(forests, _shifts(g.num_edges, g.num_edges - 1), cap)
-            reg = len(_trimmed_h(_mu(codes, doubling, g.num_edges - 1, cap), ell))
+            # (e - 1)A has digits below e, so no digit carries
+            codes = [int(bin(f)[2:], e) for f in forests]
+            doubling = _doubling(codes, (e ** e - 1).bit_length(), cap)[1]
+            reg = len(_trimmed_h(_mu(codes, doubling, e - 1, cap), ell))
             # c = 0 and s = 1 on a 2-connected graph: the bound is e - 1
             c = len(cut_vertices(g))
             s = sum(1 for *_, edges in g.component_colorings if edges)
-            ok = 3 <= reg <= g.num_edges - c - s
+            ok = 3 <= reg <= e - c - s
             tally.record("matroid-regularity-bounds", ok, g)
         except ResourceCapError:
             tally.skip("matroid-regularity-bounds")
-
-
-def _packed_forests(forests, shifts, cap):
-    """The forests packed in the fields shifts, and their doubling."""
-    codes = [sum(1 << shifts[i] for i in f) for f in forests]
-    return codes, _doubling(codes, shifts, cap)[1]
 
 
 def _is_canonical_mask(n, mask, pairs):
@@ -291,16 +295,22 @@ def _join(parts, u, v):
 
 def _add_four_cycles(h, adj, u, v):
     """The 4-cycle union h of the neighbour masks adj once the edge uv is
-    in: the new 4-cycles are u-v-a-b with a in N(v) and b in N(u) & N(a)."""
-    new = list(h)
-    for a in _vertices(adj[v]):
-        if common := adj[u] & adj[a]:
+    in: the new 4-cycles are u-v-a-b with a in N(v) and b in N(u) & N(a).
+    When uv closes none, h itself is returned."""
+    new = None
+    rest, nu = adj[v], adj[u]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        if common := nu & adj[a]:
+            new = new or list(h)
             new[u] |= 1 << v | common
-            new[v] |= 1 << u | 1 << a
+            new[v] |= 1 << u | low
             new[a] |= 1 << v | common
             for b in _vertices(common):
-                new[b] |= 1 << u | 1 << a
-    return tuple(new)
+                new[b] |= 1 << u | low
+    return h if new is None else tuple(new)
 
 
 def _sweep_chunk(args):
@@ -329,15 +339,18 @@ def _sweep_chunk(args):
                                      component_colorings=(coloring,))
             graphs_seen += 1
             _check_graph_instance(g, oracle, tally, cap)
-            if g.num_edges <= max_edges:
+            if len(edges) <= max_edges:
                 _check_matroid_instance(g, tally, cap)
         for i in range(below):
             u, v = pairs[i]
+            joined = _join(parts, u, v)
+            if not i and joined[0][1] != everyone:
+                continue  # a leaf, and not connected
             child = list(adj)
             child[u] |= 1 << v
             child[v] |= 1 << u
             walk(mask | 1 << i, i, edges + (pairs[i],), tuple(child),
-                 _add_four_cycles(h, adj, u, v), _join(parts, u, v), _grow(oracle, steps[i]))
+                 _add_four_cycles(h, adj, u, v), joined, _grow(oracle, steps[i]))
 
     # lo is aligned, so its set bits are the block's fixed high bits
     fixed = tuple(pairs[i] for i in range(len(pairs)) if lo >> i & 1)
@@ -355,7 +368,7 @@ def _random_chunk(args):
         g = SimpleGraph(gd["n"], frozenset(tuple(e) for e in gd["edges"]))
         codes, rows = zip(*(_edge_step(g.n, *e) for e in g.edges))
         # row i adds edge i to edges 0..i: stop at the first 2A over the cap
-        a, doubling = _doubling(codes, _edge_shifts(g.n), cap)
+        a, doubling = _doubling(codes, _edge_shifts(g.n).stop, cap)
         oracle = (codes, a, doubling, reduce(_extend_basis, rows, ()))
         _check_graph_instance(g, oracle, tally, cap)
         if g.num_edges <= max_edges:

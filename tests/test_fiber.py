@@ -4,7 +4,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freiman import (
@@ -20,6 +20,8 @@ from freiman import (
     with_witness,
 )
 from freiman.errors import PreconditionError, ResourceCapError
+from freiman.fiber import fiber_profile
+from freiman.lattice import freiman_lower_bound
 from helpers import brute_ksum, complete_graph, cycle_graph
 
 
@@ -129,6 +131,33 @@ def test_is_freiman_examples():
 
     p = is_freiman(principal())
     assert p.freiman and p.ell == 1 and p.bound2 == 1
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(st.just(1), st.integers(min_value=-3, max_value=3)),
+    st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=-3, max_value=0)),
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=2, max_size=5),
+)
+@example(1, 4, [6, 19])  # K4: h = (1, 2, 1)
+@example(2, 3, [4, 9])  # mu_0 != 1
+@example(1, 0, [4, 9])  # ell < 1
+def test_fiber_profile_closed_form_matches_the_h_vector(head, ell, tail):
+    # the profile reads h and the bound off mu(I^0..2) directly; the general
+    # h-vector product must give the same prefix, and reject the same inputs
+    mu = [head, *tail]
+    try:
+        h = h_vector(mu[:3], ell)
+    except ValueError as err:
+        with pytest.raises(ValueError) as raised:
+            fiber_profile(mu, ell)
+        assert str(raised.value) == str(err)
+        return
+    prof = fiber_profile(mu, ell)
+    assert prof.h_partial == tuple(h)
+    assert prof.bound2 == freiman_lower_bound(mu[1], ell - 1)
+    assert prof.mu_series == tuple(mu[:3]) and prof.ell == ell
+    assert prof.h2 == h[2] and prof.freiman == (h[2] == 0)
 
 
 def test_profile_internal_identities():

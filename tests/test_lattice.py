@@ -259,7 +259,7 @@ def _helper_chain(codes, shifts, cap, top):
     """|A|, |2A|, ..., |top A| through the code-set helpers, and whether
     2A came back as a bitset; or the message of the cap error."""
     try:
-        a, last = lattice._doubling(iter(codes), shifts, cap)
+        a, last = lattice._doubling(iter(codes), shifts.stop, cap)
         dense = type(last) is int
         sizes = [lattice._size(a), lattice._size(last)]
         for k in range(3, top + 1):

@@ -11,9 +11,10 @@ import pytest
 from freiman import lattice, verify
 from freiman.cli import main
 from freiman.errors import DEFAULT_CAP, PreconditionError, ResourceCapError, lazy
-from freiman.fiber import is_freiman
+from freiman.fiber import is_freiman, mu_series
 from freiman.graphs import SimpleGraph, classify_freiman_graph, edge_ideal
 from freiman.linalg import integer_rank
+from freiman.matroids import base_ring_h_polynomial, matroidal_ideal
 from freiman.verify import (
     ALL_ROWS,
     _NO_EDGES,
@@ -138,6 +139,47 @@ def test_walk_oracle_matches_is_freiman_on_small_graphs(monkeypatch):
     assert len(seen) == 771
     for g, numbers in seen:
         assert numbers == _numbers(is_freiman(edge_ideal(g))), g
+
+
+def test_matroid_oracle_matches_the_matroidal_ideal(monkeypatch):
+    # the oracle's numbers, spied where its rows read them: the profile's
+    # (1, |A|, |2A|) and rank, the tripling's series, the regularity h
+    seen = []
+    check = verify._check_matroid_instance
+
+    def spy(name):
+        real = getattr(verify, name)
+
+        def spied(*args):
+            out = real(*args)
+            seen[-1][1][name] = out
+            return out
+
+        monkeypatch.setattr(verify, name, spied)
+
+    def instance(g, tally, cap):
+        seen.append((g, {}))
+        check(g, tally, cap)
+
+    for name in ("fiber_profile", "_mu", "_trimmed_h"):
+        spy(name)
+    monkeypatch.setattr(verify, "_check_graph_instance", lambda *args: None)
+    monkeypatch.setattr(verify, "_check_matroid_instance", instance)
+    for n in range(2, 6):
+        _sweep_chunk((n, 0, 1 << n * (n - 1) // 2, DEFAULT_CAP, 7, False))
+    # the 771 connected labeled graphs on 2..5 vertices but the C(10, k)
+    # with k = 8, 9 or 10 of the 10 edges on 5 vertices
+    assert len(seen) == 771 - 45 - 10 - 1
+    regular = 0
+    for g, numbers in seen:
+        ideal = matroidal_ideal(ref := SimpleGraph(g.n, g.edges))
+        assert _numbers(numbers["fiber_profile"]) == _numbers(is_freiman(ideal)), g
+        if "_trimmed_h" in numbers:  # not Freiman: the regularity chain to (e - 1)A
+            assert numbers["_trimmed_h"] == base_ring_h_polynomial(ref), g
+            regular += 1
+        else:
+            assert numbers["_mu"] == mu_series(ideal, 3), g
+    assert 0 < regular < len(seen)
 
 
 def test_chunk_root_oracle_matches_is_freiman_at_n6(monkeypatch):
@@ -284,14 +326,14 @@ def _stopped_doubling_forms(monkeypatch, n, cap):
     drawn = []  # the edge codes the row-by-row doubling consumed
     forms = []
 
-    def spy(codes, shifts, cap):
+    def spy(codes, bits, cap):
         def counted():
             for code in codes:
                 drawn.append(code)
                 yield code
 
-        forms.append(shifts.stop <= lattice.DENSE_BITS)
-        return lattice._doubling(counted(), shifts, cap)
+        forms.append(bits <= lattice.DENSE_BITS)
+        return lattice._doubling(counted(), bits, cap)
 
     def no_check(*args):
         raise AssertionError("the graph was checked")
